@@ -24,7 +24,6 @@ from .checker import (
     ProblemSpec,
     Witness,
     brute_force_exists,
-    checker_state_extend,
     exists_solution,
     min_max_feasible,
     validate_witness,
@@ -32,19 +31,11 @@ from .checker import (
 from .coloring import (
     Coloring,
     IntSet,
-    diam,
-    first_range,
     format_run_string,
-    last_range,
-    nth_first,
-    nth_last,
     parse_run_string,
-    precedes,
 )
 from .constructions import (
-    LowerBoundFamily,
     VerificationReport,
-    construction_length,
     lower_bound_coloring,
     lower_bound_runs,
     verify_avoiding,
@@ -55,7 +46,6 @@ from .errors import (
     FlaggedStateError,
     FormulaContradictedError,
     LemmaViolationError,
-    NotEnoughElementsError,
     OracleCapError,
     SearchBudgetError,
 )
@@ -86,14 +76,8 @@ __all__ = [
     # coloring
     "Coloring",
     "IntSet",
-    "diam",
-    "precedes",
     "parse_run_string",
     "format_run_string",
-    "nth_first",
-    "nth_last",
-    "first_range",
-    "last_range",
     # checker
     "ProblemSpec",
     "Witness",
@@ -102,7 +86,6 @@ __all__ = [
     "brute_force_exists",
     "min_max_feasible",
     "IncrementalState",
-    "checker_state_extend",
     # search
     "SearchConfig",
     "SearchStats",
@@ -112,10 +95,8 @@ __all__ = [
     "known_value",
     "enumerate_avoiding",
     # constructions
-    "LowerBoundFamily",
     "VerificationReport",
     "lower_bound_runs",
-    "construction_length",
     "lower_bound_coloring",
     "verify_avoiding",
     # lemmas
@@ -130,7 +111,6 @@ __all__ = [
     # errors
     "DiamRamseyError",
     "ColoringParseError",
-    "NotEnoughElementsError",
     "FlaggedStateError",
     "OracleCapError",
     "SearchBudgetError",

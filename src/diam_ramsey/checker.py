@@ -37,7 +37,6 @@ __all__ = [
     "brute_force_exists",
     "min_max_feasible",
     "IncrementalState",
-    "checker_state_extend",
     "DEFAULT_ORACLE_CAP",
 ]
 
@@ -160,6 +159,16 @@ def validate_witness(w: Witness, c: Coloring, spec: ProblemSpec) -> None:
 # polynomial existence check + canonical witness
 # ======================================================================
 
+def _members(L: tuple[int, ...], i: int, e: int, m: int) -> IntSet:
+    """The m-set with min i and max e: i, the next m-2 positions of L, e.
+
+    L lists the positions of one color, and both i and e must be in it
+    with at least m of its positions in [i, e].
+    """
+    a = bisect.bisect_left(L, i)
+    return IntSet(L[a : a + m - 1] + (e,))
+
+
 def _suffix_table(
     c: Coloring, spec: ProblemSpec
 ) -> tuple[list[list[int]], list[tuple[int, ...]], list[int]]:
@@ -276,46 +285,40 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
                 break
         assert found is not None, "suffix table promised feasibility"
         e, i, k = found
-        members = [i]
-        for q in pos[k]:
-            if i < q < e and len(members) < ms - 1:
-                members.append(q)
-        members.append(e)
-        sets.append(IntSet(members))
+        sets.append(_members(pos[k], i, e, ms))
         set_colors.append(k)
         prev_e, prev_d = e, e - i
     return Witness(sets=tuple(sets), colors=tuple(set_colors))
 
 
 def min_max_feasible(
-    c: Coloring, start: int, min_diam: int, m: int
+    c: Coloring, color: int, start: int, min_diam: int, m: int
 ) -> tuple[int, int] | None:
-    """Smallest end of a monochromatic m-set in [start, N] with diam >= d.
+    """Smallest end of a color-`color` m-set in [start, N], diam >= min_diam.
 
     Returns (end, achieved_diam) where end is the minimal possible max of
     such a set and achieved_diam the minimal diameter among sets attaining
     that end; None when no set qualifies.
     """
+    if not 0 <= color < c.num_colors:
+        raise ValueError(f"color {color} out of range 0..{c.num_colors - 1}")
     if not 1 <= start <= c.length:
         raise ValueError(f"start {start} outside [1, {c.length}]")
     if min_diam < 0:
         raise ValueError(f"min_diam must be >= 0, got {min_diam}")
     if m < 2:
         raise ValueError(f"set size must be >= 2, got {m}")
-    best: tuple[int, int] | None = None
-    for k in range(c.num_colors):
-        whole = c.positions_of(k)
-        L = whole[bisect.bisect_left(whole, start):]
-        for ji in range(m - 1, len(L)):
-            j = L[ji]
-            cap = min(L[ji - m + 1], j - min_diam)
-            idx = bisect.bisect_right(L, cap) - 1
-            if idx >= 0:
-                cand = (j, j - L[idx])
-                if best is None or cand < best:
-                    best = cand
-                break  # later ends of this color cannot beat (j, *)
-    return best
+    L = c.positions_of(color)
+    a = bisect.bisect_left(L, start)
+    for ji in range(a + m - 1, len(L)):
+        j = L[ji]
+        cap = min(L[ji - m + 1], j - min_diam)
+        idx = bisect.bisect_right(L, cap, a) - 1
+        if idx >= a:
+            # The largest feasible start gives the least diameter, and
+            # later ends cannot beat this one.
+            return (j, j - L[idx])
+    return None
 
 
 # ======================================================================
@@ -367,16 +370,12 @@ def brute_force_exists(
 
     if not rec(0, 1, 0):
         return None
-    sets = []
-    for stage, (i, j, k) in enumerate(chain):
-        members = [i]
-        for q in pos[k]:
-            if i < q < j and len(members) < spec.sizes[stage] - 1:
-                members.append(q)
-        members.append(j)
-        sets.append(IntSet(members))
     return Witness(
-        sets=tuple(sets), colors=tuple(k for _i, _j, k in chain)
+        sets=tuple(
+            _members(pos[k], i, j, spec.sizes[stage])
+            for stage, (i, j, k) in enumerate(chain)
+        ),
+        colors=tuple(k for _i, _j, k in chain),
     )
 
 
@@ -499,15 +498,3 @@ class IncrementalState:
             if self._first_finite[s] == p:
                 self._first_finite[s] = _INF
         self._flagged = False
-
-
-def checker_state_extend(
-    state: IncrementalState, next_color: int
-) -> tuple[IncrementalState, bool]:
-    """Extend a state by one position, returning it with the solution flag.
-
-    Mutates and returns the same state object (single-owner contract);
-    clone() first when the unextended state must survive.
-    """
-    flag = state.extend(next_color)
-    return state, flag

@@ -33,7 +33,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .lemmas import check_lemma22, classify_lemma21, find_extremal_b1, sweep_lemmas
-from .search import SearchConfig, compute_f, formula_f_mmm2, known_value
+from .search import SearchConfig, compute_f, known_value
 
 __all__ = ["main"]
 

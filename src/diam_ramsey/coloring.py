@@ -2,8 +2,7 @@
 
 A coloring assigns one of r colors (numbered 0..r-1) to every position of
 the interval [1, N]. Colorings are immutable: searches and checkers treat
-them as values. Internally each color is kept as a bit plane (bit p-1 set
-iff position p has that color), with per-color prefix counts built lazily
+them as values. The ascending positions of each color are built lazily
 on first use.
 
 The compact string notation writes a coloring as a sequence of runs, e.g.
@@ -15,22 +14,15 @@ exponents.
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable, Iterator
 
-from .errors import ColoringParseError, NotEnoughElementsError
+from .errors import ColoringParseError
 
 __all__ = [
     "Coloring",
     "IntSet",
     "parse_run_string",
     "format_run_string",
-    "diam",
-    "precedes",
-    "nth_first",
-    "nth_last",
-    "first_range",
-    "last_range",
 ]
 
 # Colors representable in the string codec: single digits 0-9.
@@ -44,7 +36,7 @@ class Coloring:
     the functions being computed.
     """
 
-    __slots__ = ("_digits", "_num_colors", "_planes", "_prefix", "_positions")
+    __slots__ = ("_digits", "_num_colors", "_positions")
 
     def __init__(self, digits: Iterable[int], num_colors: int) -> None:
         seq = tuple(digits)
@@ -52,18 +44,14 @@ class Coloring:
             raise ValueError("coloring must cover at least one position")
         if num_colors < 2:
             raise ValueError(f"need at least 2 colors, got {num_colors}")
-        planes = [0] * num_colors
         for idx, color in enumerate(seq):
             if not 0 <= color < num_colors:
                 raise ValueError(
                     f"color {color} at position {idx + 1} out of range "
                     f"0..{num_colors - 1}"
                 )
-            planes[color] |= 1 << idx
         self._digits: tuple[int, ...] = seq
         self._num_colors = num_colors
-        self._planes: tuple[int, ...] = tuple(planes)
-        self._prefix: tuple[tuple[int, ...], ...] | None = None
         self._positions: tuple[tuple[int, ...], ...] | None = None
 
     # ------------------------------------------------------------------
@@ -88,10 +76,6 @@ class Coloring:
             raise IndexError(f"position {p} outside [1, {len(self._digits)}]")
         return self._digits[p - 1]
 
-    def plane(self, color: int) -> int:
-        """Bitmask of the positions carrying `color` (bit p-1 for position p)."""
-        return self._planes[color]
-
     def positions_of(self, color: int) -> tuple[int, ...]:
         """All positions of `color`, ascending."""
         if self._positions is None:
@@ -100,24 +84,6 @@ class Coloring:
                 table[c].append(idx + 1)
             self._positions = tuple(tuple(row) for row in table)
         return self._positions[color]
-
-    def count_in(self, color: int, lo: int, hi: int) -> int:
-        """Number of positions of `color` in the closed interval [lo, hi]."""
-        if lo > hi:
-            return 0
-        if self._prefix is None:
-            rows = []
-            for c in range(self._num_colors):
-                acc = [0] * (len(self._digits) + 1)
-                run = 0
-                for idx, col in enumerate(self._digits):
-                    if col == c:
-                        run += 1
-                    acc[idx + 1] = run
-                rows.append(tuple(acc))
-            self._prefix = tuple(rows)
-        pref = self._prefix[color]
-        return pref[min(hi, len(self._digits))] - pref[max(lo - 1, 0)]
 
     def extended(self, color: int) -> "Coloring":
         """A new coloring with `color` appended at position N+1."""
@@ -200,23 +166,6 @@ class IntSet:
 
     def __repr__(self) -> str:
         return f"IntSet({{{', '.join(map(str, self._elems))}}})"
-
-
-def diam(x: IntSet | Iterable[int]) -> int:
-    """Diameter of a set: its maximum minus its minimum."""
-    if isinstance(x, IntSet):
-        return x.max - x.min
-    elems = tuple(x)
-    if not elems:
-        raise ValueError("diameter of an empty set is undefined")
-    return max(elems) - min(elems)
-
-
-def precedes(x: IntSet | Iterable[int], y: IntSet | Iterable[int]) -> bool:
-    """Whether every element of x lies strictly below every element of y."""
-    xmax = x.max if isinstance(x, IntSet) else max(x)
-    ymin = y.min if isinstance(y, IntSet) else min(y)
-    return xmax < ymin
 
 
 # ======================================================================
@@ -347,82 +296,3 @@ def format_run_string(c: Coloring) -> str:
             parts.append(f"{digits[i]}^{{{run}}}")
         i = j
     return "".join(parts)
-
-
-# ======================================================================
-# element selection inside intervals
-# ======================================================================
-
-def _color_positions_in(
-    c: Coloring, color: int, y: tuple[int, int]
-) -> tuple[int, ...]:
-    lo, hi = y
-    if not (1 <= lo and hi <= c.length and lo <= hi):
-        raise ValueError(f"interval {y} not inside [1, {c.length}]")
-    if not 0 <= color < c.num_colors:
-        raise ValueError(f"color {color} out of range 0..{c.num_colors - 1}")
-    pos = c.positions_of(color)
-    a = bisect.bisect_left(pos, lo)
-    b = bisect.bisect_right(pos, hi)
-    return pos[a:b]
-
-
-def nth_first(c: Coloring, color: int, y: tuple[int, int], i: int) -> int:
-    """The i-th smallest position of `color` in the closed interval y.
-
-    Raises:
-        NotEnoughElementsError: if y holds fewer than i such positions.
-    """
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
-    pos = _color_positions_in(c, color, y)
-    if len(pos) < i:
-        raise NotEnoughElementsError(
-            f"interval {y} has no {i}-th element of color {color}",
-            available=len(pos),
-        )
-    return pos[i - 1]
-
-
-def nth_last(c: Coloring, color: int, y: tuple[int, int], i: int) -> int:
-    """The i-th largest position of `color` in the closed interval y."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
-    pos = _color_positions_in(c, color, y)
-    if len(pos) < i:
-        raise NotEnoughElementsError(
-            f"interval {y} has no {i}-th-from-last element of color {color}",
-            available=len(pos),
-        )
-    return pos[len(pos) - i]
-
-
-def first_range(
-    c: Coloring, color: int, y: tuple[int, int], i: int, j: int
-) -> IntSet:
-    """The i-th through j-th smallest positions of `color` in y, as a set."""
-    if not 1 <= i <= j:
-        raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    pos = _color_positions_in(c, color, y)
-    if len(pos) < j:
-        raise NotEnoughElementsError(
-            f"interval {y} has fewer than {j} elements of color {color}",
-            available=len(pos),
-        )
-    return IntSet(pos[i - 1 : j])
-
-
-def last_range(
-    c: Coloring, color: int, y: tuple[int, int], i: int, j: int
-) -> IntSet:
-    """The i-th through j-th largest positions of `color` in y, as a set."""
-    if not 1 <= i <= j:
-        raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    pos = _color_positions_in(c, color, y)
-    if len(pos) < j:
-        raise NotEnoughElementsError(
-            f"interval {y} has fewer than {j} elements of color {color}",
-            available=len(pos),
-        )
-    n = len(pos)
-    return IntSet(pos[n - j : n - i + 1])

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 from .checker import ProblemSpec, Witness, exists_solution
 from .coloring import Coloring
-from .search import formula_f_mmm2
 
 __all__ = [
-    "LowerBoundFamily",
     "lower_bound_runs",
     "lower_bound_coloring",
-    "construction_length",
     "VerificationReport",
     "verify_avoiding",
 ]
@@ -34,32 +31,6 @@ _SPECIAL_M5_RUNS = (
 )
 
 
-@dataclass(frozen=True)
-class LowerBoundFamily:
-    """Which construction variant applies at a given m."""
-
-    m: int
-    variant: str  # "general" | "special_m2" | "special_m5"
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.variant not in ("general", "special_m2", "special_m5"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "special_m2" and self.m != 2:
-            raise ValueError("special_m2 is only valid at m = 2")
-        if self.variant == "special_m5" and self.m != 5:
-            raise ValueError("special_m5 is only valid at m = 5")
-
-    @classmethod
-    def for_m(cls, m: int, force_general: bool = False) -> "LowerBoundFamily":
-        if not force_general and m == 2:
-            return cls(m, "special_m2")
-        if not force_general and m == 5:
-            return cls(m, "special_m5")
-        return cls(m, "general")
-
-
 def lower_bound_runs(m: int, force_general: bool = False) -> tuple[tuple[int, int], ...]:
     """The construction as (color, run_length) pairs; lengths may be 0.
 
@@ -67,10 +38,11 @@ def lower_bound_runs(m: int, force_general: bool = False) -> tuple[tuple[int, in
     dropped when the coloring is materialized; they are kept here so the
     run arithmetic matches the pattern shape exactly.
     """
-    family = LowerBoundFamily.for_m(m, force_general)
-    if family.variant == "special_m2":
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    if m == 2 and not force_general:
         return tuple((int(ch), 1) for ch in _SPECIAL_M2)
-    if family.variant == "special_m5":
+    if m == 5 and not force_general:
         return _SPECIAL_M5_RUNS
     f_run = (2 * m - 2) // 3
     assert m - f_run - 1 >= 0, "pattern run lengths must be nonnegative"
@@ -85,11 +57,6 @@ def lower_bound_runs(m: int, force_general: bool = False) -> tuple[tuple[int, in
         (1, 2 * m - 1 + f_run),
         (0, m - 1),
     )
-
-
-def construction_length(m: int, force_general: bool = False) -> int:
-    """Length of lower_bound_coloring(m) without materializing it."""
-    return sum(k for _c, k in lower_bound_runs(m, force_general))
 
 
 def lower_bound_coloring(m: int, force_general: bool = False) -> Coloring:

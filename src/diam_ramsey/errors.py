@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "DiamRamseyError",
     "ColoringParseError",
-    "NotEnoughElementsError",
     "FlaggedStateError",
     "OracleCapError",
     "SearchBudgetError",
@@ -39,22 +38,6 @@ class ColoringParseError(DiamRamseyError):
 
     def __reduce__(self):
         return (self.__class__, (self.raw_message, self.token, self.offset))
-
-
-class NotEnoughElementsError(DiamRamseyError):
-    """An interval holds fewer elements of a color than were requested.
-
-    Attributes:
-        available: how many elements of that color the interval does hold.
-    """
-
-    def __init__(self, message: str, available: int) -> None:
-        super().__init__(f"{message} ({available} available)")
-        self.raw_message = message
-        self.available = available
-
-    def __reduce__(self):
-        return (self.__class__, (self.raw_message, self.available))
 
 
 class FlaggedStateError(DiamRamseyError):

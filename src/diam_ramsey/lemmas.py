@@ -23,6 +23,7 @@ import bisect
 from dataclasses import dataclass
 from multiprocessing import Pool
 
+from .checker import _members, min_max_feasible
 from .coloring import Coloring, IntSet, format_run_string
 from .errors import LemmaViolationError
 
@@ -97,18 +98,6 @@ def _require_window(c: Coloring, m: int) -> None:
         )
 
 
-def _color_extremal(c: Coloring, m: int, k: int) -> tuple[int, int] | None:
-    """Minimal (max, diam) of a color-k m-set with diam >= 2m-2, or None."""
-    L = c.positions_of(k)
-    for ji in range(m - 1, len(L)):
-        j = L[ji]
-        cap = min(L[ji - m + 1], j - (2 * m - 2))
-        idx = bisect.bisect_right(L, cap) - 1
-        if idx >= 0:
-            return (j, j - L[idx])
-    return None
-
-
 def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     """The big set minimizing (max, diam), or None when no big set exists.
 
@@ -117,8 +106,8 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     the smallest positions of the winning color, then its maximum.
     """
     _require_window(c, m)
-    r0 = _color_extremal(c, m, 0)
-    r1 = _color_extremal(c, m, 1)
+    r0 = min_max_feasible(c, 0, 1, 2 * m - 2, m)
+    r1 = min_max_feasible(c, 1, 1, 2 * m - 2, m)
     if r0 is None and r1 is None:
         return None
     if r1 is None or (r0 is not None and r0 <= r1):
@@ -127,14 +116,8 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     else:
         j, d = r1
         color = 1
-    i = j - d
-    members = [i]
-    for q in c.positions_of(color):
-        if i < q < j and len(members) < m - 1:
-            members.append(q)
-    members.append(j)
     return ExtremalB1(
-        b1=IntSet(members),
+        b1=_members(c.positions_of(color), j - d, j, m),
         color_c1=color,
         beta=(3 * m - 2) - j,
         alpha=d - (2 * m - 2),

@@ -37,6 +37,9 @@ __all__ = [
 
 _MODES = ("value_only", "one_certificate", "all_certificates")
 
+# Tree depth at which parallel runs hand subtrees to workers.
+_SPLIT_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -44,17 +47,16 @@ class SearchConfig:
 
     n_cap bounds the explored length (default: known closed form plus 2,
     required explicitly when no closed form applies). mode controls
-    certificate collection. split_depth is the tree depth at which
-    parallel runs hand subtrees to workers. max_nodes aborts the search
-    with partial statistics when exceeded; in parallel runs the budget
-    applies to each worker separately.
+    certificate collection. max_nodes aborts the search with partial
+    statistics when exceeded; in parallel runs the budget applies
+    separately to the parent's walk down to the split depth and to each
+    subtree job.
     """
 
     n_cap: int | None = None
     mode: str = "one_certificate"
     symmetry_reduction: bool = True
     worker_count: int = 1
-    split_depth: int = 12
     max_nodes: int | None = None
 
     def __post_init__(self) -> None:
@@ -64,8 +66,6 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
-        if self.split_depth < 1:
-            raise ValueError(f"split_depth must be >= 1, got {self.split_depth}")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
@@ -225,47 +225,6 @@ def _search_from(
     return best, certs, nodes, budget_hit
 
 
-def _collect_stubs(
-    spec: ProblemSpec, depth: int, symmetry: bool
-) -> tuple[list[tuple[int, ...]], int, list[tuple[int, ...]], int]:
-    """All avoiding prefixes at exactly `depth`, plus the best shallower ones.
-
-    Returns (stubs, best_shallow, certs_at_best_shallow, nodes). The
-    shallow certificates matter only when no stub exists (the whole tree
-    dies before the split depth).
-    """
-    state = IncrementalState(spec)
-    r = spec.num_colors
-    stubs: list[tuple[int, ...]] = []
-    best = 0
-    certs: list[tuple[int, ...]] = [()]
-    nodes = 0
-    digits: list[int] = []
-
-    def dfs(level: int, used: int) -> None:
-        nonlocal best, nodes
-        if level >= depth:
-            stubs.append(tuple(digits))
-            return
-        cmax = min(r - 1, used) if symmetry else r - 1
-        for x in range(cmax + 1):
-            nodes += 1
-            if not state.extend(x):
-                digits.append(x)
-                d = level + 1
-                if d > best:
-                    best = d
-                    certs[:] = [tuple(digits)]
-                elif d == best:
-                    certs.append(tuple(digits))
-                dfs(d, max(used, x + 1) if symmetry else used)
-                digits.pop()
-            state.retract()
-
-    dfs(0, 0)
-    return stubs, best, certs, nodes
-
-
 def _worker_search(args: tuple) -> tuple[int, list[tuple[int, ...]], int, bool]:
     spec_json, prefix, n_cap, mode, symmetry, guard, max_nodes = args
     spec = ProblemSpec.from_json(spec_json)
@@ -283,8 +242,9 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     run must fail loudly rather than return.
 
     Raises:
-        SearchBudgetError: config.max_nodes exceeded (per worker when
-            parallel); partial statistics ride on the exception.
+        SearchBudgetError: config.max_nodes exceeded (in parallel runs,
+            by the walk down to the split depth or by one subtree job);
+            partial statistics ride on the exception.
         FormulaContradictedError: see above.
         ValueError: no n_cap given and no closed form known for the spec.
     """
@@ -303,18 +263,20 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     mode = config.mode
     symmetry = config.symmetry_reduction
 
-    if config.worker_count == 1 or n_cap <= config.split_depth:
+    if config.worker_count == 1 or n_cap <= _SPLIT_DEPTH:
         best, certs, nodes, budget_hit = _search_from(
             spec, (), n_cap, mode, symmetry, guard, config.max_nodes
         )
     else:
-        stubs, best, certs, nodes = _collect_stubs(
-            spec, config.split_depth, symmetry
+        # The parent walks the tree down to the split depth. The avoiding
+        # prefixes at that depth are the subtree stubs; when the tree dies
+        # earlier, the walk's own certificates are the answer.
+        best, stubs, nodes, budget_hit = _search_from(
+            spec, (), _SPLIT_DEPTH, "all_certificates", symmetry, guard,
+            config.max_nodes,
         )
-        budget_hit = False
-        if mode == "value_only":
-            certs = []
-        if stubs:
+        certs = [] if mode == "value_only" else stubs
+        if best == _SPLIT_DEPTH and not budget_hit:
             jobs = [
                 (spec.to_json(), stub, n_cap, mode, symmetry, guard,
                  config.max_nodes)
@@ -393,37 +355,11 @@ def enumerate_avoiding(
         raise ValueError(f"length must be >= 1, got {length}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    state = IncrementalState(spec)
     r = spec.num_colors
-    found: list[tuple[int, ...]] = []
-    digits: list[int] = []
-
-    class _Done(Exception):
-        pass
-
-    def dfs(depth: int, used: int) -> None:
-        if depth == length:
-            found.append(tuple(digits))
-            if limit is not None and len(found) >= limit:
-                raise _Done
-            return
-        cmax = min(r - 1, used) if symmetry_reduction else r - 1
-        for x in range(cmax + 1):
-            if not state.extend(x):
-                digits.append(x)
-                dfs(depth + 1, max(used, x + 1) if symmetry_reduction else used)
-                digits.pop()
-            state.retract()
-
-    try:
-        dfs(0, 0)
-    except _Done:
-        pass
+    best, found, _nodes, _hit = _search_from(
+        spec, (), length, "all_certificates", symmetry_reduction, None, None
+    )
+    found = found[:limit] if best == length else []
     if not symmetry_reduction:
         return [Coloring(t, r) for t in found]
-    out: list[tuple[Coloring, int]] = []
-    for t in found:
-        used = len(set(t))
-        orbit = math.perm(r, used)
-        out.append((Coloring(t, r), orbit))
-    return out
+    return [(Coloring(t, r), math.perm(r, len(set(t)))) for t in found]

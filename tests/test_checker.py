@@ -15,7 +15,6 @@ from diam_ramsey import (
     ProblemSpec,
     Witness,
     brute_force_exists,
-    checker_state_extend,
     exists_solution,
     min_max_feasible,
     parse_run_string,
@@ -44,7 +43,7 @@ def _chains(c: Coloring, spec: ProblemSpec):
                 for k in range(spec.num_colors):
                     if c.color_at(i) != k or c.color_at(j) != k:
                         continue
-                    if c.count_in(k, i, j) < m:
+                    if sum(1 for x in c.digits[i - 1 : j] if x == k) < m:
                         continue
                     yield from extend(stage + 1, j, j - i, acc + ((i, j, k),))
 
@@ -201,26 +200,34 @@ def test_canonical_witness_frozen_examples() -> None:
 # min_max_feasible
 # ======================================================================
 
+def _min_over_colors(c: Coloring, start: int, d: int, m: int):
+    found = [min_max_feasible(c, k, start, d, m) for k in range(c.num_colors)]
+    return min((f for f in found if f is not None), default=None)
+
+
 def test_min_max_feasible_examples() -> None:
     # 001000: a 2-set of diameter >= 1 starting at or after 1 first closes
     # at position 2; requiring diameter >= 3 pushes the end to 4 paired
     # with the 1 at 3... the only color-1 pair does not exist, so color 0
     # supplies (4, 3) via {1, 4}.
     c = parse_run_string("0^210^3", 2)
-    assert min_max_feasible(c, 1, 0, 2) == (2, 1)
-    assert min_max_feasible(c, 1, 3, 2) == (4, 3)
-    assert min_max_feasible(c, 3, 1, 2) == (5, 1)
-    assert min_max_feasible(c, 1, 99, 2) is None
+    assert _min_over_colors(c, 1, 0, 2) == (2, 1)
+    assert _min_over_colors(c, 1, 3, 2) == (4, 3)
+    assert _min_over_colors(c, 3, 1, 2) == (5, 1)
+    assert _min_over_colors(c, 1, 99, 2) is None
+    assert min_max_feasible(c, 1, 1, 0, 2) is None  # one color-1 position
 
 
 def test_min_max_feasible_validation() -> None:
     c = parse_run_string("0101", 2)
     with pytest.raises(ValueError):
-        min_max_feasible(c, 0, 0, 2)
+        min_max_feasible(c, 0, 0, 0, 2)
     with pytest.raises(ValueError):
-        min_max_feasible(c, 1, -1, 2)
+        min_max_feasible(c, 0, 1, -1, 2)
     with pytest.raises(ValueError):
-        min_max_feasible(c, 1, 0, 1)
+        min_max_feasible(c, 0, 1, 0, 1)
+    with pytest.raises(ValueError):
+        min_max_feasible(c, 2, 1, 0, 2)
 
 
 def test_min_max_feasible_against_bruteforce() -> None:
@@ -241,7 +248,7 @@ def test_min_max_feasible_against_bruteforce() -> None:
                         cand = (j, j - i)
                         if ref is None or cand < ref:
                             ref = cand
-        assert min_max_feasible(c, start, d, m) == ref
+        assert _min_over_colors(c, start, d, m) == ref
 
 
 # ======================================================================
@@ -319,14 +326,3 @@ def test_incremental_flag_then_extend_errors() -> None:
         state.extend(0)
     with pytest.raises(ValueError):
         IncrementalState(spec).retract()
-
-
-def test_checker_state_extend_wrapper() -> None:
-    spec = ProblemSpec((2, 2), 2)
-    state = IncrementalState(spec)
-    for expect, k in [(False, 0), (False, 0), (False, 1), (False, 0)]:
-        state, flag = checker_state_extend(state, k)
-        assert flag == expect
-    state, flag = checker_state_extend(state, 0)
-    assert flag  # 00100 holds {1,2} then {4,5}
-    assert state.coloring().digits == (0, 0, 1, 0, 0)

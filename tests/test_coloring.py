@@ -10,15 +10,8 @@ from diam_ramsey import (
     Coloring,
     ColoringParseError,
     IntSet,
-    NotEnoughElementsError,
-    diam,
-    first_range,
     format_run_string,
-    last_range,
-    nth_first,
-    nth_last,
     parse_run_string,
-    precedes,
 )
 
 
@@ -54,9 +47,6 @@ def test_positions_and_counts() -> None:
     c = parse_run_string("0^210^3", 2)  # 001000
     assert c.positions_of(0) == (1, 2, 4, 5, 6)
     assert c.positions_of(1) == (3,)
-    assert c.count_in(0, 1, 6) == 5
-    assert c.count_in(1, 1, 2) == 0
-    assert c.count_in(0, 4, 4) == 1
 
 
 def test_extended_is_a_new_coloring() -> None:
@@ -81,7 +71,7 @@ def test_coloring_repr_uses_run_string() -> None:
 
 
 # ======================================================================
-# IntSet, diam, precedes
+# IntSet
 # ======================================================================
 
 def test_intset_invariants() -> None:
@@ -96,14 +86,6 @@ def test_intset_invariants() -> None:
         IntSet([0, 1])  # positions start at 1
     with pytest.raises(ValueError):
         IntSet([2, 2])
-
-
-def test_diam_and_precedes() -> None:
-    assert diam(IntSet([3, 7, 5])) == 4
-    assert diam([10]) == 0
-    assert precedes(IntSet([1, 2]), IntSet([3, 9]))
-    assert not precedes([1, 5], [4, 9])
-    assert not precedes([1, 3], [3, 5])
 
 
 # ======================================================================
@@ -177,55 +159,3 @@ def test_codec_roundtrip_random() -> None:
         # inference agrees whenever every color is actually used
         if len(set(c.digits)) == r or (r == 2 and max(c.digits, default=0) <= 1):
             assert parse_run_string(s) == c
-
-
-# ======================================================================
-# element selection inside intervals
-# ======================================================================
-
-def test_nth_first_and_last() -> None:
-    c = parse_run_string("0^210^3", 2)  # 001000
-    assert nth_first(c, 0, (1, 6), 1) == 1
-    assert nth_first(c, 0, (1, 6), 3) == 4
-    assert nth_first(c, 1, (1, 6), 1) == 3
-    assert nth_last(c, 0, (1, 6), 1) == 6
-    assert nth_last(c, 0, (2, 5), 2) == 4
-
-
-def test_first_and_last_range() -> None:
-    c = parse_run_string("0^210^3", 2)
-    assert first_range(c, 0, (1, 6), 1, 2) == IntSet([1, 2])
-    assert first_range(c, 0, (1, 6), 2, 4) == IntSet([2, 4, 5])
-    assert last_range(c, 0, (1, 6), 1, 3) == IntSet([4, 5, 6])
-
-
-def test_selection_errors_report_available() -> None:
-    c = parse_run_string("0^210^3", 2)
-    with pytest.raises(NotEnoughElementsError) as exc:
-        nth_first(c, 1, (1, 6), 2)
-    assert exc.value.available == 1
-    with pytest.raises(NotEnoughElementsError) as exc:
-        first_range(c, 0, (1, 6), 1, 6)
-    assert exc.value.available == 5
-    with pytest.raises(ValueError):
-        nth_first(c, 0, (0, 6), 1)  # interval leaves [1, N]
-    with pytest.raises(ValueError):
-        nth_first(c, 2, (1, 6), 1)  # color out of range
-
-
-def test_selection_against_bruteforce() -> None:
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.randrange(1, 25)
-        c = Coloring([rng.randrange(2) for _ in range(n)], 2)
-        lo = rng.randrange(1, n + 1)
-        hi = rng.randrange(lo, n + 1)
-        color = rng.randrange(2)
-        ref = [p for p in range(lo, hi + 1) if c.color_at(p) == color]
-        i = rng.randrange(1, 5)
-        if i <= len(ref):
-            assert nth_first(c, color, (lo, hi), i) == ref[i - 1]
-            assert nth_last(c, color, (lo, hi), i) == ref[-i]
-        else:
-            with pytest.raises(NotEnoughElementsError):
-                nth_first(c, color, (lo, hi), i)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from diam_ramsey import (
-    LowerBoundFamily,
     ProblemSpec,
-    construction_length,
     exists_solution,
     format_run_string,
     formula_f_mmm2,
@@ -30,12 +28,11 @@ def test_special_string_m5() -> None:
 
 
 def test_family_variant_selection() -> None:
-    assert LowerBoundFamily.for_m(2).variant == "special_m2"
-    assert LowerBoundFamily.for_m(5).variant == "special_m5"
-    assert LowerBoundFamily.for_m(3).variant == "general"
-    assert LowerBoundFamily.for_m(2, force_general=True).variant == "general"
-    with pytest.raises(ValueError):
-        LowerBoundFamily(m=3, variant="special_m2")
+    # m = 2 and m = 5 use their special strings unless force_general is set
+    for m in (2, 5):
+        assert lower_bound_runs(m) != lower_bound_runs(m, force_general=True)
+        assert len(lower_bound_runs(m, force_general=True)) == 9
+    assert lower_bound_runs(3) == lower_bound_runs(3, force_general=True)
 
 
 def test_force_general_is_one_shorter_at_exceptions() -> None:
@@ -60,7 +57,7 @@ def test_runs_concatenate_to_coloring() -> None:
 def test_length_identity_huge_m() -> None:
     # run-length arithmetic only; no coloring is materialized
     for m in (10, 1000, 10**6, 10**6 + 1, 10**6 + 2):
-        assert construction_length(m) == formula_f_mmm2(m) - 1
+        assert sum(k for _c, k in lower_bound_runs(m)) == formula_f_mmm2(m) - 1
 
 
 def test_avoids_small_range() -> None:
@@ -98,4 +95,4 @@ def test_validation() -> None:
     with pytest.raises(ValueError):
         lower_bound_coloring(1)
     with pytest.raises(ValueError):
-        LowerBoundFamily(m=3, variant="bogus")
+        lower_bound_runs(1, force_general=True)

@@ -150,6 +150,26 @@ def test_formula_contradicted_is_loud(monkeypatch) -> None:
     assert exists_solution(exc.value.coloring, spec) is None
 
 
+def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
+    """Lengths above the closed form but below the split depth are checked.
+
+    f(2,2;2) dies at length 6, well before the split depth, so no subtree
+    job exists and the alarm must come from the parent's own walk.
+    """
+    spec = ProblemSpec((2, 2), 2)
+    monkeypatch.setattr(search_mod, "known_value", lambda s: 5)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no subtree job expected")
+
+    monkeypatch.setattr(search_mod, "Pool", no_pool)
+    for workers in (1, 2):
+        with pytest.raises(FormulaContradictedError) as exc:
+            compute_f(spec, SearchConfig(n_cap=20, worker_count=workers))
+        assert exc.value.expected == 5
+        assert exc.value.coloring.length == 5
+
+
 def test_parallel_agrees_with_sequential() -> None:
     spec = ProblemSpec((2, 2, 2), 2)
     seq = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=1))
