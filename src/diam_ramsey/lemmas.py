@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .checker import _members, min_max_feasible
 from .coloring import Coloring, IntSet, format_run_string
 from .errors import LemmaViolationError
+from .search import _job_results
 
 __all__ = [
     "ExtremalB1",
@@ -44,15 +44,13 @@ class ExtremalB1:
     """The extremal big set and its window offsets.
 
     beta is how far max(b1) sits below 3m-2; alpha is the diameter excess
-    over 2m-2. tie records whether the other color reaches the same
-    (max, diam) pair; the winner is then color 0 by convention.
+    over 2m-2.
     """
 
     b1: IntSet
     color_c1: int
     beta: int
     alpha: int
-    tie: bool
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,11 @@ class Lemma21Case:
 
 @dataclass(frozen=True)
 class Lemma22Finding:
-    """The sets promised by lemma 2.2 for one coloring."""
+    """The sets promised by lemma 2.2 for one coloring.
+
+    case is the lemma 2.1 case the bounds were read from (None on the
+    no_big_set branch).
+    """
 
     branch: str  # "no_big_set" | "big_set"
     d1: IntSet | None = None
@@ -84,6 +86,7 @@ class Lemma22Finding:
     a1: IntSet | None = None
     a2: IntSet | None = None
     a3: IntSet | None = None
+    case: Lemma21Case | None = None
 
 
 def _require_window(c: Coloring, m: int) -> None:
@@ -101,16 +104,17 @@ def _require_window(c: Coloring, m: int) -> None:
 def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     """The big set minimizing (max, diam), or None when no big set exists.
 
-    Ties between the two colors go to color 0 and are flagged. The
-    returned set is the deterministic representative: its minimum, then
-    the smallest positions of the winning color, then its maximum.
+    The two colors never tie: their maxima are positions of different
+    colors. The returned set is the deterministic representative: its
+    minimum, then the smallest positions of the winning color, then its
+    maximum.
     """
     _require_window(c, m)
     r0 = min_max_feasible(c, 0, 1, 2 * m - 2, m)
     r1 = min_max_feasible(c, 1, 1, 2 * m - 2, m)
     if r0 is None and r1 is None:
         return None
-    if r1 is None or (r0 is not None and r0 <= r1):
+    if r1 is None or (r0 is not None and r0 < r1):
         j, d = r0
         color = 0
     else:
@@ -121,7 +125,6 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
         color_c1=color,
         beta=(3 * m - 2) - j,
         alpha=d - (2 * m - 2),
-        tie=r0 == r1,
     )
 
 
@@ -213,20 +216,6 @@ def _match_case_iii(s: tuple[int, ...], m: int, beta: int, alpha: int) -> bool:
     return zeros_between <= beta
 
 
-def _mask_for_frame(
-    s: tuple[int, ...], m: int, beta: int, alpha: int
-) -> tuple[tuple[str, ...], tuple[int, int] | None]:
-    mask: list[str] = []
-    numu = _match_case_i(s, m, beta, alpha)
-    if numu is not None:
-        mask.append("i")
-    if _match_case_ii(s, m, beta, alpha):
-        mask.append("ii")
-    if _match_case_iii(s, m, beta, alpha):
-        mask.append("iii")
-    return tuple(mask), numu
-
-
 def _substrings_for(
     s: tuple[int, ...], m: int, beta: int, alpha: int,
     tag: str, numu: tuple[int, int] | None,
@@ -254,51 +243,39 @@ def _substrings_for(
 def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
     """Match the window of an extremal big set against the three cases.
 
-    The frame relabels colors so that b1's color reads as 1. On a tie both
-    relabelings are admissible and at least one must classify. The tag is
-    the first matching case in the order (i), (ii), (iii); the mask is the
-    union of matches over the admissible frames.
+    The frame relabels colors so that b1's color reads as 1. The tag is
+    the first matching case in the order (i), (ii), (iii); the mask lists
+    every match.
 
     Raises:
-        LemmaViolationError: no case matches any admissible frame. This
-            would falsify the statement being validated and must abort
-            loudly.
+        LemmaViolationError: no case matches. This would falsify the
+            statement being validated and must abort loudly.
     """
     m = len(b1.b1)
     _require_window(c, m)
     beta, alpha = b1.beta, b1.alpha
-    frames = [b1.color_c1]
-    if b1.tie:
-        frames.append(1 - b1.color_c1)
-    per_frame: list[tuple[tuple[str, ...], tuple[int, int] | None, int]] = []
-    union: list[str] = []
-    for k in frames:
-        s = _frame(c, m, beta, k)
-        mask, numu = _mask_for_frame(s, m, beta, alpha)
-        per_frame.append((mask, numu, k))
-        for tag in mask:
-            if tag not in union:
-                union.append(tag)
-    union.sort(key=("i", "ii", "iii").index)
-    if not union:
+    s = _frame(c, m, beta, b1.color_c1)
+    numu = _match_case_i(s, m, beta, alpha)
+    mask = () if numu is None else ("i",)
+    if _match_case_ii(s, m, beta, alpha):
+        mask += ("ii",)
+    if _match_case_iii(s, m, beta, alpha):
+        mask += ("iii",)
+    if not mask:
         raise LemmaViolationError(
             f"no structural case matches {format_run_string(c)} "
             f"(m={m}, beta={beta}, alpha={alpha})",
             coloring=c,
             clause="lemma 2.1: disjunction (i)/(ii)/(iii)",
         )
-    tag = union[0]
-    mask_u, numu_u, use_k = next(
-        (mk, nm, k) for mk, nm, k in per_frame if tag in mk
-    )
-    nu, mu = numu_u if (tag == "i" and numu_u is not None) else (0, 0)
-    s_use = _frame(c, m, beta, use_k)
+    tag = mask[0]
+    nu, mu = numu if tag == "i" else (0, 0)
     return Lemma21Case(
         case_tag=tag,
-        mask=tuple(union),
+        mask=mask,
         mu=mu,
         nu=nu,
-        h_strings=_substrings_for(s_use, m, beta, alpha, tag, numu_u),
+        h_strings=_substrings_for(s, m, beta, alpha, tag, numu),
     )
 
 
@@ -407,7 +384,9 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
             )
         a3 = inner[0]
 
-    return Lemma22Finding(branch="big_set", a1=a_set, a2=a_set, a3=a3)
+    return Lemma22Finding(
+        branch="big_set", case=case, a1=a_set, a2=a_set, a3=a3
+    )
 
 
 # ======================================================================
@@ -420,7 +399,8 @@ class LemmaSweepReport:
     total: int
     case_counts: dict[str, int]    # no_b1 / i / ii / iii (first-match tags)
     branch_counts: dict[str, int]  # no_big_set / big_set
-    ties: int
+    # Always 0 (the colors never tie); kept for the CLI's text and JSON.
+    ties: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -432,25 +412,18 @@ class LemmaSweepReport:
         }
 
 
-def _sweep_range(args: tuple[int, int, int]) -> tuple[dict, dict, int]:
+def _sweep_range(args: tuple[int, int, int]) -> tuple[dict, dict]:
     m, lo, hi = args
     n = 3 * m - 2
     case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
     branch_counts = {"no_big_set": 0, "big_set": 0}
-    ties = 0
     for bits in range(lo, hi):
         digits = [(bits >> x) & 1 for x in range(n)]
-        c = Coloring(digits, 2)
-        ext = find_extremal_b1(c, m)
-        if ext is None:
-            case_counts["no_b1"] += 1
-        else:
-            if ext.tie:
-                ties += 1
-            case_counts[classify_lemma21(c, ext).case_tag] += 1
-        finding = check_lemma22(c, m)
+        finding = check_lemma22(Coloring(digits, 2), m)
+        case = finding.case
+        case_counts["no_b1" if case is None else case.case_tag] += 1
         branch_counts[finding.branch] += 1
-    return case_counts, branch_counts, ties
+    return case_counts, branch_counts
 
 
 def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
@@ -468,31 +441,17 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
     total = 1 << n
     case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
     branch_counts = {"no_big_set": 0, "big_set": 0}
-    ties = 0
-    if workers == 1:
-        chunks = [(m, 0, total)]
-        results = map(_sweep_range, chunks)
-    else:
-        step = max(1, total // (workers * 8))
-        chunks = [
-            (m, lo, min(lo + step, total)) for lo in range(0, total, step)
-        ]
-        pool = Pool(workers)
-        try:
-            results = list(pool.imap_unordered(_sweep_range, chunks))
-        finally:
-            pool.close()
-            pool.join()
-    for cc, bc, tt in results:
-        for key, val in cc.items():
-            case_counts[key] += val
-        for key, val in bc.items():
-            branch_counts[key] += val
-        ties += tt
+    step = max(1, total // (workers * 8))
+    chunks = [(m, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    with _job_results(_sweep_range, chunks, workers) as results:
+        for cc, bc in results:
+            for key, val in cc.items():
+                case_counts[key] += val
+            for key, val in bc.items():
+                branch_counts[key] += val
     return LemmaSweepReport(
         m=m,
         total=total,
         case_counts=case_counts,
         branch_counts=branch_counts,
-        ties=ties,
     )

@@ -11,13 +11,16 @@ orbit: a prefix may introduce a new color only as the smallest color index
 not yet used. Parallel runs split the tree at a fixed depth and farm the
 subtrees to worker processes; the merge (max over subtree maxima, sorted
 certificate union) is associative, so results do not depend on the worker
-count.
+count. At most one process runs per CPU and per job, whatever count is
+requested; stats.worker_count still reports the requested count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -48,9 +51,9 @@ class SearchConfig:
     n_cap bounds the explored length (default: known closed form plus 2,
     required explicitly when no closed form applies). mode controls
     certificate collection. max_nodes aborts the search with partial
-    statistics when exceeded; in parallel runs the budget applies
-    separately to the parent's walk down to the split depth and to each
-    subtree job.
+    statistics when the nodes expanded over the whole search exceed it.
+    Whether a run raises or returns is the same at every worker count; the
+    partial count carried on the error may differ.
     """
 
     n_cap: int | None = None
@@ -226,9 +229,23 @@ def _search_from(
 
 
 def _worker_search(args: tuple) -> tuple[int, list[tuple[int, ...]], int, bool]:
-    spec_json, prefix, n_cap, mode, symmetry, guard, max_nodes = args
-    spec = ProblemSpec.from_json(spec_json)
-    return _search_from(spec, prefix, n_cap, mode, symmetry, guard, max_nodes)
+    return _search_from(*args)
+
+
+@contextmanager
+def _job_results(fn, jobs: list, workers: int):
+    """Yield an iterator of fn(job) over jobs, in any order.
+
+    Runs at most one process per CPU and per job; with a single process it
+    maps in this process and starts none. Leaving the block terminates the
+    pool, whether the loop ended, broke off or raised.
+    """
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs <= 1:
+        yield map(fn, jobs)
+        return
+    with Pool(procs) as pool:
+        yield pool.imap_unordered(fn, jobs)
 
 
 def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchResult:
@@ -242,9 +259,10 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     run must fail loudly rather than return.
 
     Raises:
-        SearchBudgetError: config.max_nodes exceeded (in parallel runs,
-            by the walk down to the split depth or by one subtree job);
-            partial statistics ride on the exception.
+        SearchBudgetError: more than config.max_nodes nodes expanded over
+            the whole search. The raise/return decision is the same at
+            every worker count; the partial statistics riding on the
+            exception may differ.
         FormulaContradictedError: see above.
         ValueError: no n_cap given and no closed form known for the spec.
     """
@@ -277,19 +295,24 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
         )
         certs = [] if mode == "value_only" else stubs
         if best == _SPLIT_DEPTH and not budget_hit:
+            # Each job may spend what the walk left of the budget; a job
+            # that overspends pushes the running total past it too.
+            max_nodes = config.max_nodes
+            cap = None if max_nodes is None else max_nodes - nodes
             jobs = [
-                (spec.to_json(), stub, n_cap, mode, symmetry, guard,
-                 config.max_nodes)
+                (spec, stub, n_cap, mode, symmetry, guard, cap)
                 for stub in stubs
             ]
             best = 0
             certs = []
-            with Pool(config.worker_count) as pool:
-                for wbest, wcerts, wnodes, whit in pool.imap_unordered(
-                    _worker_search, jobs
-                ):
+            with _job_results(
+                _worker_search, jobs, config.worker_count
+            ) as results:
+                for wbest, wcerts, wnodes, _hit in results:
                     nodes += wnodes
-                    budget_hit = budget_hit or whit
+                    if max_nodes is not None and nodes > max_nodes:
+                        budget_hit = True
+                        break
                     if wbest > best:
                         best = wbest
                         certs = wcerts

@@ -37,7 +37,6 @@ def test_extremal_b1_basic() -> None:
     assert ext.b1 == IntSet([1, 3])
     assert ext.color_c1 == 0
     assert (ext.beta, ext.alpha) == (1, 0)
-    assert not ext.tie
 
 
 def test_extremal_b1_prefers_smaller_diameter() -> None:
@@ -60,16 +59,6 @@ def test_extremal_b1_validation() -> None:
         find_extremal_b1(Coloring([0, 1, 2, 0], 3), 2)  # not a 2-coloring
     with pytest.raises(ValueError):
         find_extremal_b1(parse_run_string("0", 2), 1)
-
-
-def test_extremal_never_ties_exhaustive() -> None:
-    """The (max, diam) pair determines the color; ties cannot happen."""
-    for m in (2, 3):
-        n = 3 * m - 2
-        for bits in range(1 << n):
-            c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
-            ext = find_extremal_b1(c, m)
-            assert ext is None or not ext.tie
 
 
 # ======================================================================
@@ -134,11 +123,14 @@ def test_lemma22_no_big_set_branch() -> None:
     assert finding.d1 == IntSet([1, 2])
     assert finding.d2 == IntSet([3, 4])
     assert finding.a1 is None
+    assert finding.case is None
 
 
 def test_lemma22_big_set_branch() -> None:
-    finding = check_lemma22(parse_run_string("1101001", 2), 3)
+    c = parse_run_string("1101001", 2)
+    finding = check_lemma22(c, 3)
     assert finding.branch == "big_set"
+    assert finding.case == classify_lemma21(c, find_extremal_b1(c, 3))
     assert finding.a1 == finding.a2
     assert finding.a1 is not None
     # case (i) applies, so the inner window also carries a set

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -20,7 +22,12 @@ from diam_ramsey import (
     formula_f_mmm2,
     known_value,
     parse_run_string,
+    sweep_lemmas,
 )
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no worker process expected")
 
 
 def test_config_validation() -> None:
@@ -139,6 +146,23 @@ def test_budget_abort_carries_partial_stats() -> None:
     assert exc.value.stats.nodes_expanded >= 50
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_is_one_total_at_every_worker_count(workers: int) -> None:
+    """f(3,3,3;2) expands 26 551 nodes at every worker count."""
+    spec = ProblemSpec((3, 3, 3), 2)
+
+    def run(max_nodes: int):
+        return compute_f(spec, SearchConfig(
+            mode="value_only", worker_count=workers, max_nodes=max_nodes
+        ))
+
+    with pytest.raises(SearchBudgetError):
+        run(26550)
+    r = run(26551)
+    assert r.f_value == 20
+    assert r.stats.nodes_expanded == 26551
+
+
 def test_formula_contradicted_is_loud(monkeypatch) -> None:
     """Patch the closed-form table to a wrong value and expect the alarm."""
     spec = ProblemSpec((2, 2), 2)  # true f = 7: avoiding colorings reach 6
@@ -158,11 +182,7 @@ def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
     """
     spec = ProblemSpec((2, 2), 2)
     monkeypatch.setattr(search_mod, "known_value", lambda s: 5)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no subtree job expected")
-
-    monkeypatch.setattr(search_mod, "Pool", no_pool)
+    monkeypatch.setattr(search_mod, "Pool", _no_pool)
     for workers in (1, 2):
         with pytest.raises(FormulaContradictedError) as exc:
             compute_f(spec, SearchConfig(n_cap=20, worker_count=workers))
@@ -179,6 +199,60 @@ def test_parallel_agrees_with_sequential() -> None:
         c.digits for c in par.certificates
     ]
     assert par.stats.worker_count == 3
+
+
+def test_pool_is_clamped_to_the_cpus(monkeypatch) -> None:
+    real_pool = search_mod.Pool
+    opened = []
+
+    def recording_pool(procs):
+        opened.append(procs)
+        return real_pool(procs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "Pool", recording_pool)
+    r = compute_f(
+        ProblemSpec((3, 3, 3), 2),
+        SearchConfig(mode="value_only", worker_count=8),
+    )
+    assert opened == [2]
+    assert r.f_value == 20
+    assert r.stats.worker_count == 8
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_starts_no_process(monkeypatch, cpus) -> None:
+    spec = ProblemSpec((3, 3, 3), 2)
+    seq = compute_f(spec, SearchConfig(mode="all_certificates"))
+    seq_sweep = sweep_lemmas(3)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search_mod, "Pool", _no_pool)
+    par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=8))
+    assert par.f_value == seq.f_value
+    assert par.certificates == seq.certificates
+    assert par.stats.nodes_expanded == seq.stats.nodes_expanded
+    assert sweep_lemmas(3, workers=8).to_json() == seq_sweep.to_json()
+
+
+def test_spawn_start_method_agrees(monkeypatch) -> None:
+    """Workers started by spawn (no inherited state) give the same results."""
+    spec = ProblemSpec((3, 3, 3), 2)
+    seq = compute_f(spec, SearchConfig(mode="all_certificates"))
+    seq_sweep = sweep_lemmas(3)
+    spawn = multiprocessing.get_context("spawn")
+    opened = []
+
+    def spawn_pool(procs):
+        opened.append(procs)
+        return spawn.Pool(procs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "Pool", spawn_pool)
+    par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=2))
+    assert par.f_value == seq.f_value
+    assert par.certificates == seq.certificates
+    assert sweep_lemmas(3, workers=2).to_json() == seq_sweep.to_json()
+    assert opened == [2, 2]
 
 
 def test_parallel_inconclusive_and_one_certificate() -> None:
