@@ -87,14 +87,6 @@ class ProblemSpec:
             "strict": self.strict,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ProblemSpec":
-        return cls(
-            sizes=tuple(data["sizes"]),
-            num_colors=data["num_colors"],
-            strict=bool(data.get("strict", False)),
-        )
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -420,10 +412,6 @@ class IncrementalState:
     @property
     def flagged(self) -> bool:
         return self._flagged
-
-    def coloring(self) -> Coloring:
-        """The prefix built so far as an immutable Coloring."""
-        return Coloring(self._digits, self.spec.num_colors)
 
     def clone(self) -> "IncrementalState":
         other = IncrementalState.__new__(IncrementalState)

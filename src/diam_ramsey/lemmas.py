@@ -413,11 +413,12 @@ class LemmaSweepReport:
 
 
 def _sweep_range(args: tuple[int, int, int]) -> tuple[dict, dict]:
-    m, lo, hi = args
+    """Case and branch counts over colorings part, part + parts, ... ."""
+    m, part, parts = args
     n = 3 * m - 2
     case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
     branch_counts = {"no_big_set": 0, "big_set": 0}
-    for bits in range(lo, hi):
+    for bits in range(part, 1 << n, parts):
         digits = [(bits >> x) & 1 for x in range(n)]
         finding = check_lemma22(Coloring(digits, 2), m)
         case = finding.case
@@ -437,13 +438,9 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
         raise ValueError(f"m must be >= 2, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n = 3 * m - 2
-    total = 1 << n
     case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
     branch_counts = {"no_big_set": 0, "big_set": 0}
-    step = max(1, total // (workers * 8))
-    chunks = [(m, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with _job_results(_sweep_range, chunks, workers) as results:
+    with _job_results(_sweep_range, (m,), workers) as results:
         for cc, bc in results:
             for key, val in cc.items():
                 case_counts[key] += val
@@ -451,7 +448,7 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
                 branch_counts[key] += val
     return LemmaSweepReport(
         m=m,
-        total=total,
+        total=1 << (3 * m - 2),
         case_counts=case_counts,
         branch_counts=branch_counts,
     )

@@ -8,11 +8,13 @@ length reached together with the avoiding colorings at that length.
 
 Symmetry reduction explores one representative per color-permutation
 orbit: a prefix may introduce a new color only as the smallest color index
-not yet used. Parallel runs split the tree at a fixed depth and farm the
-subtrees to worker processes; the merge (max over subtree maxima, sorted
-certificate union) is associative, so results do not depend on the worker
-count. At most one process runs per CPU and per job, whatever count is
-requested; stats.worker_count still reports the requested count.
+not yet used. Every run is cut into n = min(workers, usable CPUs) parts,
+one process each (no process at all when n is 1). Each part walks the
+shallow levels itself and deals the avoiding prefixes at a fixed depth
+round-robin in DFS order, keeping only its own subtrees; the merge (max
+over part maxima, sorted certificate union, summed node counts) fixes the
+result, so it does not depend on the worker count. stats.worker_count
+still reports the requested count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -40,7 +42,8 @@ __all__ = [
 
 _MODES = ("value_only", "one_certificate", "all_certificates")
 
-# Tree depth at which parallel runs hand subtrees to workers.
+# Length of the avoiding prefixes dealt to the parts of a run: the i-th in
+# DFS order goes to part i % parts, and part 0 owns every shorter prefix.
 _SPLIT_DEPTH = 12
 
 
@@ -75,6 +78,13 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Counters of a compute_f run.
+
+    max_depth is the longest avoiding length reached: f - 1 on a conclusive
+    run, n_cap on an inconclusive one, and the deepest length so far on a
+    SearchBudgetError.
+    """
+
     nodes_expanded: int
     max_depth: int
     wall_time: float
@@ -151,54 +161,58 @@ def known_value(spec: ProblemSpec) -> int | None:
 # ======================================================================
 
 class _BudgetHit(Exception):
-    """Internal: node budget exhausted mid-subtree."""
-
-
-def _replay_prefix(spec: ProblemSpec, prefix: tuple[int, ...]) -> IncrementalState:
-    state = IncrementalState(spec)
-    for color in prefix:
-        if state.extend(color):
-            raise AssertionError("subtree stub must be an avoiding prefix")
-    return state
+    """Internal: a part counted more than max_nodes nodes."""
 
 
 def _search_from(
     spec: ProblemSpec,
-    prefix: tuple[int, ...],
     n_cap: int,
     mode: str,
     symmetry: bool,
     guard: int | None,
     max_nodes: int | None,
-) -> tuple[int, list[tuple[int, ...]], int, bool]:
-    """Exhaust the avoiding subtree under `prefix`.
+    part: int,
+    parts: int,
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """Walk the avoiding tree from the root, keeping part `part` of `parts`.
+
+    The avoiding prefixes of length _SPLIT_DEPTH are dealt in DFS order:
+    the i-th goes to part i % parts, and part 0 also owns every shorter
+    prefix. Every part walks the shallow levels, but it counts nodes and
+    records lengths and certificates only where it owns them, so the parts
+    add up to exactly one whole walk.
 
     Returns (best length, certificates at that length in lexicographic
-    order, nodes expanded, budget_hit). The prefix itself counts: an
-    avoiding prefix of length L yields best >= L. Raises
+    order, nodes expanded) over the owned nodes; a part that owns nothing
+    returns (0, [], 0). The walk stops as soon as the count passes
+    max_nodes, so a count above it marks a partial result. Raises
     FormulaContradictedError when an avoiding coloring of length >= guard
     appears.
     """
-    state = _replay_prefix(spec, prefix)
+    state = IncrementalState(spec)
     r = spec.num_colors
-    best = len(prefix)
-    certs: list[tuple[int, ...]] = [prefix] if mode != "value_only" else []
+    split = _SPLIT_DEPTH
+    lead = part == 0
+    best = 0
+    certs: list[tuple[int, ...]] = []
     nodes = 0
-    budget_hit = False
-    digits = list(prefix)
+    dealt = 0
+    digits: list[int] = []
 
     def dfs(depth: int, used: int) -> None:
-        nonlocal best, nodes
+        nonlocal best, nodes, dealt
         if depth >= n_cap:
             return
         cmax = min(r - 1, used) if symmetry else r - 1
+        d = depth + 1
+        mine = lead or d > split
         for x in range(cmax + 1):
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise _BudgetHit
+            if mine:
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    raise _BudgetHit
             if not state.extend(x):
                 digits.append(x)
-                d = depth + 1
                 if guard is not None and d >= guard:
                     raise FormulaContradictedError(
                         f"avoiding coloring of length {d} found, but "
@@ -207,44 +221,55 @@ def _search_from(
                         coloring=Coloring(digits, r),
                         expected=guard,
                     )
-                if d > best:
-                    best = d
-                    if mode == "all_certificates":
-                        certs.clear()
+                keep = mine
+                if d == split:
+                    keep = dealt % parts == part
+                    dealt += 1
+                if keep:
+                    if d > best:
+                        best = d
+                        if mode == "all_certificates":
+                            certs.clear()
+                            certs.append(tuple(digits))
+                        elif mode == "one_certificate":
+                            certs[:] = [tuple(digits)]
+                    elif d == best and mode == "all_certificates":
                         certs.append(tuple(digits))
-                    elif mode == "one_certificate":
-                        certs[:] = [tuple(digits)]
-                elif d == best and mode == "all_certificates":
-                    certs.append(tuple(digits))
-                dfs(d, max(used, x + 1) if symmetry else used)
+                if keep or d < split:
+                    dfs(d, max(used, x + 1) if symmetry else used)
                 digits.pop()
             state.retract()
 
-    used0 = (max(prefix) + 1) if prefix else 0
-    try:
-        dfs(len(prefix), used0 if symmetry else 0)
-    except _BudgetHit:
-        budget_hit = True
-    return best, certs, nodes, budget_hit
+    with suppress(_BudgetHit):
+        dfs(0, 0)
+    return best, certs, nodes
 
 
-def _worker_search(args: tuple) -> tuple[int, list[tuple[int, ...]], int, bool]:
+def _worker_search(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
     return _search_from(*args)
 
 
-@contextmanager
-def _job_results(fn, jobs: list, workers: int):
-    """Yield an iterator of fn(job) over jobs, in any order.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Runs at most one process per CPU and per job; with a single process it
-    maps in this process and starts none. Leaving the block terminates the
-    pool, whether the loop ended, broke off or raised.
+
+@contextmanager
+def _job_results(fn, args: tuple, workers: int):
+    """Yield an iterator of fn(args + (k, n)) for k < n, in any order.
+
+    n = min(workers, usable CPUs) parts run one process each; with n == 1
+    fn runs in this process and none is started. Leaving the block
+    terminates the pool, whether the loop ended, broke off or raised.
     """
-    procs = min(workers, len(jobs), os.cpu_count() or 1)
-    if procs <= 1:
+    n = min(workers, _usable_cpus())
+    jobs = [args + (k, n) for k in range(n)]
+    if n == 1:
         yield map(fn, jobs)
         return
-    with Pool(procs) as pool:
+    with Pool(n) as pool:
         yield pool.imap_unordered(fn, jobs)
 
 
@@ -280,45 +305,21 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     t0 = time.perf_counter()
     mode = config.mode
     symmetry = config.symmetry_reduction
-
-    if config.worker_count == 1 or n_cap <= _SPLIT_DEPTH:
-        best, certs, nodes, budget_hit = _search_from(
-            spec, (), n_cap, mode, symmetry, guard, config.max_nodes
-        )
-    else:
-        # The parent walks the tree down to the split depth. The avoiding
-        # prefixes at that depth are the subtree stubs; when the tree dies
-        # earlier, the walk's own certificates are the answer.
-        best, stubs, nodes, budget_hit = _search_from(
-            spec, (), _SPLIT_DEPTH, "all_certificates", symmetry, guard,
-            config.max_nodes,
-        )
-        certs = [] if mode == "value_only" else stubs
-        if best == _SPLIT_DEPTH and not budget_hit:
-            # Each job may spend what the walk left of the budget; a job
-            # that overspends pushes the running total past it too.
-            max_nodes = config.max_nodes
-            cap = None if max_nodes is None else max_nodes - nodes
-            jobs = [
-                (spec, stub, n_cap, mode, symmetry, guard, cap)
-                for stub in stubs
-            ]
-            best = 0
-            certs = []
-            with _job_results(
-                _worker_search, jobs, config.worker_count
-            ) as results:
-                for wbest, wcerts, wnodes, _hit in results:
-                    nodes += wnodes
-                    if max_nodes is not None and nodes > max_nodes:
-                        budget_hit = True
-                        break
-                    if wbest > best:
-                        best = wbest
-                        certs = wcerts
-                    elif wbest == best:
-                        certs.extend(wcerts)
-            certs.sort()
+    max_nodes = config.max_nodes
+    args = (spec, n_cap, mode, symmetry, guard, max_nodes)
+    best, certs, nodes, budget_hit = 0, [], 0, False
+    with _job_results(_worker_search, args, config.worker_count) as results:
+        for wbest, wcerts, wnodes in results:
+            nodes += wnodes
+            if wbest > best:
+                best, certs = wbest, wcerts
+            elif wbest == best:
+                certs.extend(wcerts)
+            # A part that hit its cap counted more than max_nodes itself.
+            if max_nodes is not None and nodes > max_nodes:
+                budget_hit = True
+                break
+    certs.sort()
 
     wall = time.perf_counter() - t0
     stats = SearchStats(
@@ -379,8 +380,8 @@ def enumerate_avoiding(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     r = spec.num_colors
-    best, found, _nodes, _hit = _search_from(
-        spec, (), length, "all_certificates", symmetry_reduction, None, None
+    best, found, _nodes = _search_from(
+        spec, length, "all_certificates", symmetry_reduction, None, None, 0, 1
     )
     found = found[:limit] if best == length else []
     if not symmetry_reduction:

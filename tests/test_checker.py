@@ -67,11 +67,6 @@ def test_spec_validation_and_label() -> None:
         ProblemSpec((2, 2), 1)
 
 
-def test_spec_json_roundtrip() -> None:
-    spec = ProblemSpec((2, 2, 2), 2, strict=True)
-    assert ProblemSpec.from_json(spec.to_json()) == spec
-
-
 def test_witness_shape() -> None:
     w = Witness((IntSet([1, 2]), IntSet([3, 5])), (0, 1))
     assert w.diams == (1, 2)

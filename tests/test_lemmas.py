@@ -189,6 +189,22 @@ def test_sweep_parallel_agrees() -> None:
     assert sweep_lemmas(3, workers=2).to_json() == sweep_lemmas(3).to_json()
 
 
+def test_sweep_parts_add_up() -> None:
+    """Summed over the parts of any cut, the counts equal the whole sweep."""
+    whole = sweep_lemmas(4)
+    for parts in (1, 2, 3, 5, 8):
+        cases = {key: 0 for key in whole.case_counts}
+        branches = {key: 0 for key in whole.branch_counts}
+        for k in range(parts):
+            cc, bc = lemmas_mod._sweep_range((4, k, parts))
+            for key, val in cc.items():
+                cases[key] += val
+            for key, val in bc.items():
+                branches[key] += val
+        assert cases == whole.case_counts
+        assert branches == whole.branch_counts
+
+
 def test_sweep_validation() -> None:
     with pytest.raises(ValueError):
         sweep_lemmas(1)

@@ -177,12 +177,11 @@ def test_formula_contradicted_is_loud(monkeypatch) -> None:
 def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
     """Lengths above the closed form but below the split depth are checked.
 
-    f(2,2;2) dies at length 6, well before the split depth, so no subtree
-    job exists and the alarm must come from the parent's own walk.
+    f(2,2;2) dies at length 6, well before the split depth; every part
+    walks those levels, so the alarm comes out of a part at any count.
     """
     spec = ProblemSpec((2, 2), 2)
     monkeypatch.setattr(search_mod, "known_value", lambda s: 5)
-    monkeypatch.setattr(search_mod, "Pool", _no_pool)
     for workers in (1, 2):
         with pytest.raises(FormulaContradictedError) as exc:
             compute_f(spec, SearchConfig(n_cap=20, worker_count=workers))
@@ -209,7 +208,7 @@ def test_pool_is_clamped_to_the_cpus(monkeypatch) -> None:
         opened.append(procs)
         return real_pool(procs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(search_mod, "Pool", recording_pool)
     r = compute_f(
         ProblemSpec((3, 3, 3), 2),
@@ -220,12 +219,28 @@ def test_pool_is_clamped_to_the_cpus(monkeypatch) -> None:
     assert r.stats.worker_count == 8
 
 
+def test_usable_cpus(monkeypatch) -> None:
+    """The affinity set where the OS has one, else cpu_count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        assert search_mod._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert search_mod._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert search_mod._usable_cpus() == 1
+
+
 @pytest.mark.parametrize("cpus", [1, None])
 def test_one_cpu_starts_no_process(monkeypatch, cpus) -> None:
+    """One usable CPU; None reaches it through the cpu_count fallback."""
     spec = ProblemSpec((3, 3, 3), 2)
     seq = compute_f(spec, SearchConfig(mode="all_certificates"))
     seq_sweep = sweep_lemmas(3)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(search_mod, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(search_mod, "Pool", _no_pool)
     par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=8))
     assert par.f_value == seq.f_value
@@ -246,13 +261,52 @@ def test_spawn_start_method_agrees(monkeypatch) -> None:
         opened.append(procs)
         return spawn.Pool(procs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(search_mod, "Pool", spawn_pool)
     par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=2))
     assert par.f_value == seq.f_value
     assert par.certificates == seq.certificates
     assert sweep_lemmas(3, workers=2).to_json() == seq_sweep.to_json()
     assert opened == [2, 2]
+
+
+def _walk_parts(spec: ProblemSpec, n_cap: int, parts: int) -> list[tuple]:
+    return [
+        search_mod._search_from(
+            spec, n_cap, "all_certificates", True, None, None, k, parts
+        )
+        for k in range(parts)
+    ]
+
+
+def _merge_parts(results: list[tuple]) -> tuple:
+    best, certs, nodes = 0, [], 0
+    for kbest, kcerts, knodes in results:
+        nodes += knodes
+        if kbest > best:
+            best, certs = kbest, list(kcerts)
+        elif kbest == best:
+            certs.extend(kcerts)
+    return best, sorted(certs), nodes
+
+
+@pytest.mark.parametrize(
+    "sizes, colors, n_cap",
+    [((3, 3, 3), 2, 22), ((2, 2), 4, 17), ((2, 2), 2, 20)],
+)
+def test_parts_add_up_to_one_walk(sizes, colors, n_cap) -> None:
+    """Every cut into parts merges to the whole walk, nodes included.
+
+    f(2,2;4) deals only 125 prefixes at the split depth, and f(2,2;2)
+    dies above it, so there every part but part 0 owns nothing.
+    """
+    spec = ProblemSpec(sizes, colors)
+    whole = _merge_parts(_walk_parts(spec, n_cap, 1))
+    for parts in (2, 3, 5, 8):
+        results = _walk_parts(spec, n_cap, parts)
+        assert _merge_parts(results) == whole
+        if whole[0] < search_mod._SPLIT_DEPTH:
+            assert results[1:] == [(0, [], 0)] * (parts - 1)
 
 
 def test_parallel_inconclusive_and_one_certificate() -> None:
