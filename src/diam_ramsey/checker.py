@@ -8,7 +8,7 @@ diam(B1) <= ... <= diam(Bt). The strict variant replaces <= by <.
 Three independent routes decide existence:
 
 * exists_solution: a suffix dynamic program over (stage, start position),
-  polynomial in N; also extracts the canonical witness.
+  linear in N per stage; also extracts the canonical witness.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop.
 * brute_force_exists: backtracking straight from the definition, capped
@@ -168,7 +168,8 @@ def _suffix_table(
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
     (no constraint). Also returns the per-color position lists and the
-    rank of each position within its color class.
+    rank of each position within its color class. Each stage is one sweep
+    of p from N down to 1 whose pointers only move down: O(N + r).
     """
     digits = c.digits
     n = len(digits)
@@ -183,37 +184,34 @@ def _suffix_table(
     S = [[_NEG] * (n + 3) for _ in range(t + 2)]
     S[t + 1] = [_POS] * (n + 3)
     for s in range(t, 0, -1):
-        ms = spec.sizes[s - 1]
+        ms1 = spec.sizes[s - 1] - 1
         nxt = S[s + 1]
         cur = S[s]
         off_next = off if s < t else 0
+        # j: the largest end whose remaining interval still supports the
+        # later stages, g(j) = j - S[s+1][j+1] <= p - off_next (_POS always
+        # passes). g is increasing in j, so j only falls as p falls; once
+        # j < p no end can be usable, so it may stop at p.
+        j = n
+        # last[k]: index in pos[k] of the last color-k position <= j,
+        # moved only when color k comes up.
+        last = [len(L) - 1 for L in pos]
+        best = _NEG
         for p in range(n, 0, -1):
-            best = cur[p + 1]
+            lim = p - off_next
+            while j > p and j - nxt[j + 1] > lim:
+                j -= 1
             k = digits[p - 1]
             L = pos[k]
-            i0 = rank[p]
-            if i0 + ms - 1 < len(L):
-                # Smallest usable end for a stage-s set starting at p.
-                jb = L[i0 + ms - 1]
-                # Largest end j whose remaining interval still supports
-                # the later stages: g(j) = j - S[s+1][j+1] is increasing
-                # in j, so binary search for g(j) <= p - off_next.
-                lo, hi = jb, n
-                j_cap = None
-                while lo <= hi:
-                    mid = (lo + hi) // 2
-                    gs = nxt[mid + 1]
-                    if gs >= _POS or mid - gs <= p - off_next:
-                        j_cap = mid
-                        lo = mid + 1
-                    else:
-                        hi = mid - 1
-                if j_cap is not None:
-                    idx = bisect.bisect_right(L, j_cap) - 1
-                    if idx >= 0 and L[idx] >= jb:
-                        d = L[idx] - p
-                        if d > best:
-                            best = d
+            idx = last[k]
+            # p itself is a color-k position <= j, so idx stops at rank[p].
+            while L[idx] > j:
+                idx -= 1
+            last[k] = idx
+            # The end L[idx] is usable if [p, L[idx]] holds ms color-k
+            # positions.
+            if idx >= rank[p] + ms1 and L[idx] - p > best:
+                best = L[idx] - p
             cur[p] = best
     return S, pos, rank
 
@@ -224,8 +222,8 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
     The canonical witness minimizes (max B1, diam B1, max B2, diam B2, ...)
     lexicographically; at equal (max, diam) the color is forced (it is the
     color of the max position) and the remaining elements are the smallest
-    available ones. Runs in O(t * N log N) plus table setup, never by
-    subset enumeration.
+    available ones. Runs in O(t * (N + r)) for the table plus the witness
+    walk, never by subset enumeration.
 
     Args:
         c: the coloring to check; c.num_colors must equal spec.num_colors.
@@ -244,11 +242,12 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
 
     digits = c.digits
     n = len(digits)
+    t = spec.t
     off = 1 if spec.strict else 0
     sets: list[IntSet] = []
     set_colors: list[int] = []
     prev_e, prev_d = 0, 0
-    for s in range(1, spec.t + 1):
+    for s in range(1, t + 1):
         ms = spec.sizes[s - 1]
         req = prev_d + off if s >= 2 else 0
         found: tuple[int, int, int] | None = None
@@ -263,7 +262,7 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
             # later stages feasible.
             hi = min(L[ei + 1 - ms], e - req)
             lo = prev_e + 1
-            if s < spec.t:
+            if s < t:
                 lim = S[s + 1][e + 1]
                 if lim < 0:
                     continue

@@ -160,8 +160,8 @@ def known_value(spec: ProblemSpec) -> int | None:
 # core DFS
 # ======================================================================
 
-class _BudgetHit(Exception):
-    """Internal: a part counted more than max_nodes nodes."""
+class _Stop(Exception):
+    """Internal: a part passed max_nodes or reached its certificate limit."""
 
 
 def _search_from(
@@ -173,6 +173,7 @@ def _search_from(
     max_nodes: int | None,
     part: int,
     parts: int,
+    limit: int | None = None,
 ) -> tuple[int, list[tuple[int, ...]], int]:
     """Walk the avoiding tree from the root, keeping part `part` of `parts`.
 
@@ -185,9 +186,10 @@ def _search_from(
     Returns (best length, certificates at that length in lexicographic
     order, nodes expanded) over the owned nodes; a part that owns nothing
     returns (0, [], 0). The walk stops as soon as the count passes
-    max_nodes, so a count above it marks a partial result. Raises
-    FormulaContradictedError when an avoiding coloring of length >= guard
-    appears.
+    max_nodes (so a count above it marks a partial result) or, in
+    all_certificates mode, once `limit` certificates of length n_cap are
+    recorded. Raises FormulaContradictedError when an avoiding coloring of
+    length >= guard appears.
     """
     state = IncrementalState(spec)
     r = spec.num_colors
@@ -210,7 +212,7 @@ def _search_from(
             if mine:
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
-                    raise _BudgetHit
+                    raise _Stop
             if not state.extend(x):
                 digits.append(x)
                 if guard is not None and d >= guard:
@@ -231,16 +233,20 @@ def _search_from(
                         if mode == "all_certificates":
                             certs.clear()
                             certs.append(tuple(digits))
+                            if len(certs) == limit and d == n_cap:
+                                raise _Stop
                         elif mode == "one_certificate":
                             certs[:] = [tuple(digits)]
                     elif d == best and mode == "all_certificates":
                         certs.append(tuple(digits))
+                        if len(certs) == limit and d == n_cap:
+                            raise _Stop
                 if keep or d < split:
                     dfs(d, max(used, x + 1) if symmetry else used)
                 digits.pop()
             state.retract()
 
-    with suppress(_BudgetHit):
+    with suppress(_Stop):
         dfs(0, 0)
     return best, certs, nodes
 
@@ -381,9 +387,10 @@ def enumerate_avoiding(
         raise ValueError(f"limit must be >= 1, got {limit}")
     r = spec.num_colors
     best, found, _nodes = _search_from(
-        spec, length, "all_certificates", symmetry_reduction, None, None, 0, 1
+        spec, length, "all_certificates", symmetry_reduction, None, None, 0, 1,
+        limit,
     )
-    found = found[:limit] if best == length else []
+    found = found if best == length else []
     if not symmetry_reduction:
         return [Coloring(t, r) for t in found]
     return [(Coloring(t, r), math.perm(r, len(set(t)))) for t in found]

@@ -20,13 +20,14 @@ from diam_ramsey import (
     parse_run_string,
     validate_witness,
 )
+from diam_ramsey.checker import _NEG, _suffix_table
 
 
-def _chains(c: Coloring, spec: ProblemSpec):
-    """Every solution chain as a tuple of (min, max, color) triples.
+def _chains(c: Coloring, spec: ProblemSpec, first: int = 0):
+    """Every chain of stages first..t as a tuple of (min, max, color) triples.
 
     Independent enumeration used to pin down canonicality; exponential,
-    keep N tiny.
+    keep N tiny. With first = 0 these are the solution chains.
     """
     n = c.length
     off = 1 if spec.strict else 0
@@ -47,7 +48,20 @@ def _chains(c: Coloring, spec: ProblemSpec):
                         continue
                     yield from extend(stage + 1, j, j - i, acc + ((i, j, k),))
 
-    yield from extend(0, 0, -1, ())
+    yield from extend(first, 0, -1, ())
+
+
+def _random_case(rng: random.Random, n_max: int):
+    """A seeded spec (t = 1..4, r = 2..5, unequal sizes 2..5, strict or
+    not) and a coloring of length <= n_max with a skewed color mix."""
+    t = rng.randint(1, 4)
+    r = rng.randint(2, 5)
+    spec = ProblemSpec(
+        tuple(rng.randint(2, 5) for _ in range(t)), r, rng.random() < 0.5
+    )
+    weights = [rng.random() ** 3 + 0.01 for _ in range(r)]
+    n = rng.randint(1, n_max)
+    return spec, Coloring(rng.choices(range(r), weights=weights, k=n), r)
 
 
 # ======================================================================
@@ -164,11 +178,14 @@ def test_witness_is_canonical() -> None:
     spec2 = ProblemSpec((2, 2), 2)
     spec3 = ProblemSpec((2, 2, 2), 2)
     strict = ProblemSpec((2, 2), 2, strict=True)
+    unequal = ProblemSpec((2, 3, 2), 2)
+    three = ProblemSpec((2, 2), 3)
     checked = 0
     for _ in range(400):
-        spec = rng.choice([spec2, spec3, strict])
+        spec = rng.choice([spec2, spec3, strict, unequal, three])
         n = rng.randrange(4, 13)
-        c = Coloring([rng.randrange(2) for _ in range(n)], 2)
+        r = spec.num_colors
+        c = Coloring([rng.randrange(r) for _ in range(n)], r)
         w = exists_solution(c, spec)
         if w is None:
             continue
@@ -180,6 +197,44 @@ def test_witness_is_canonical() -> None:
         assert key == best, (c, spec.label())
         checked += 1
     assert checked > 100
+
+
+def test_suffix_table_matches_definition() -> None:
+    """S[s][p] is the largest diam(B_s) over chains of stages s..t in [p, N]."""
+    rng = random.Random(5150)
+    finite = 0
+    for _ in range(2000):
+        spec, c = _random_case(rng, 12)
+        n = c.length
+        S, _pos, _rank = _suffix_table(c, spec)
+        for s in range(1, spec.t + 1):
+            ref = [_NEG] * (n + 2)
+            for ch in _chains(c, spec, first=s - 1):
+                i, j, _k = ch[0]
+                for p in range(1, i + 1):
+                    ref[p] = max(ref[p], j - i)
+            assert S[s][1 : n + 2] == ref[1:], (c, spec.label(), s)
+            finite += sum(1 for x in ref if x != _NEG)
+    assert finite > 5000
+
+
+def test_three_routes_agree_on_random_specs() -> None:
+    """Suffix DP, brute oracle and an incremental replay on unequal sizes,
+    t = 1..4, r = 2..5, strict and not; every witness validates."""
+    rng = random.Random(8086)
+    found = 0
+    for _ in range(3000):
+        spec, c = _random_case(rng, 14)
+        got = exists_solution(c, spec)
+        ref = brute_force_exists(c, spec)
+        state = IncrementalState(spec)
+        replay = any(state.extend(x) for x in c.digits)
+        assert (got is None) == (ref is None) == (not replay), (c, spec.label())
+        for w in (got, ref):
+            if w is not None:
+                validate_witness(w, c, spec)
+        found += got is not None
+    assert 300 < found < 2700
 
 
 def test_canonical_witness_frozen_examples() -> None:

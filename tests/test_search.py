@@ -342,6 +342,26 @@ def test_enumerate_avoiding_limit() -> None:
     assert found == enumerate_avoiding(spec, 6)[:3]
 
 
+def test_enumerate_avoiding_limit_stops_early(monkeypatch) -> None:
+    # The walk stops at the limit-th certificate; the prefix must not move.
+    spec = ProblemSpec((3, 3, 3), 2)
+    full = enumerate_avoiding(spec, 19)
+    assert len(full) > 5
+    for k in (1, 2, 5, len(full), len(full) + 1):
+        assert enumerate_avoiding(spec, 19, limit=k) == full[:k]
+    walk, nodes = search_mod._search_from, []
+
+    def counting_walk(*args):
+        out = walk(*args)
+        nodes.append(out[2])
+        return out
+
+    monkeypatch.setattr(search_mod, "_search_from", counting_walk)
+    enumerate_avoiding(spec, 19, limit=1)
+    enumerate_avoiding(spec, 19)
+    assert nodes[0] < nodes[1] // 5
+
+
 def test_enumerate_avoiding_orbits() -> None:
     spec = ProblemSpec((2, 2), 2)
     plain = enumerate_avoiding(spec, 6)
