@@ -25,7 +25,6 @@ from .checker import (
     Witness,
     brute_force_exists,
     exists_solution,
-    min_max_feasible,
     validate_witness,
 )
 from .coloring import (
@@ -84,7 +83,6 @@ __all__ = [
     "validate_witness",
     "exists_solution",
     "brute_force_exists",
-    "min_max_feasible",
     "IncrementalState",
     # search
     "SearchConfig",

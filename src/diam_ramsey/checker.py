@@ -19,6 +19,11 @@ maximum j and color k exists exactly when i and j both have color k and
 at least m positions of color k lie in [i, j]. Only (min, max, color)
 triples matter, so each stage tracks minimal end positions and minimal
 diameters rather than explicit subsets.
+
+One routine, _least_set, finds the monochromatic m-set of least
+(max, diam) starting at or after a point with at least a given diameter.
+It serves the witness walk of exists_solution (one call per stage, which
+must leave room for the later stages) and lemmas.find_extremal_b1.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "validate_witness",
     "exists_solution",
     "brute_force_exists",
-    "min_max_feasible",
     "IncrementalState",
     "DEFAULT_ORACLE_CAP",
 ]
@@ -161,15 +165,12 @@ def _members(L: tuple[int, ...], i: int, e: int, m: int) -> IntSet:
     return IntSet(L[a : a + m - 1] + (e,))
 
 
-def _suffix_table(
-    c: Coloring, spec: ProblemSpec
-) -> tuple[list[list[int]], list[tuple[int, ...]], list[int]]:
+def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N].
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
-    (no constraint). Also returns the per-color position lists and the
-    rank of each position within its color class. Each stage is one sweep
-    of p from N down to 1 whose pointers only move down: O(N + r).
+    (no constraint). Each stage is one sweep of p from N down to 1 whose
+    pointers only move down: O(N + r).
     """
     digits = c.digits
     n = len(digits)
@@ -213,7 +214,46 @@ def _suffix_table(
             if idx >= rank[p] + ms1 and L[idx] - p > best:
                 best = L[idx] - p
             cur[p] = best
-    return S, pos, rank
+    return S
+
+
+def _least_set(
+    c: Coloring,
+    m: int,
+    lo: int,
+    req: int,
+    room: list[int] | None = None,
+    off: int = 0,
+) -> tuple[int, int, int] | None:
+    """The monochromatic m-set in [lo, N] with diam >= req and least
+    (max, diam), as (max, min, color); None when there is none.
+
+    With a suffix-table row `room` (S[s+1] for stage s), an end e also
+    needs min >= e - room[e+1] + off, which fails for _NEG and always
+    holds for _POS. Ends are scanned upward from the first that can close
+    a set; the largest usable min at an end gives its least diameter.
+    """
+    digits = c.digits
+    pos = [c.positions_of(k) for k in range(c.num_colors)]
+    first = lo + max(req, m - 1)
+    # seen[k]: color-k positions before e, which is e's index in pos[k].
+    seen = [bisect.bisect_left(L, first) for L in pos]
+    for e in range(first, len(digits) + 1):
+        k = digits[e - 1]
+        L = pos[k]
+        ei = seen[k]
+        seen[k] = ei + 1
+        if ei + 1 < m:
+            continue
+        # The min leaves m color-k positions in [min, e] and fits low..hi.
+        hi = min(L[ei + 1 - m], e - req)
+        low = lo if room is None else max(lo, e - room[e + 1] + off)
+        if hi < low:
+            continue
+        idx = bisect.bisect_right(L, hi) - 1
+        if idx >= 0 and L[idx] >= low:
+            return (e, L[idx], k)
+    return None
 
 
 def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
@@ -222,8 +262,11 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
     The canonical witness minimizes (max B1, diam B1, max B2, diam B2, ...)
     lexicographically; at equal (max, diam) the color is forced (it is the
     color of the max position) and the remaining elements are the smallest
-    available ones. Runs in O(t * (N + r)) for the table plus the witness
-    walk, never by subset enumeration.
+    available ones. Each stage is one _least_set call: the least set after
+    the previous one, with diam at least the previous diam (plus one when
+    strict), that leaves room for the later stages by the suffix table.
+    Runs in O(t * (N + r)) for the table plus the walk, never by subset
+    enumeration.
 
     Args:
         c: the coloring to check; c.num_colors must equal spec.num_colors.
@@ -236,80 +279,22 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
         raise ValueError(
             f"coloring has {c.num_colors} colors, spec wants {spec.num_colors}"
         )
-    S, pos, rank = _suffix_table(c, spec)
+    S = _suffix_table(c, spec)
     if S[1][1] < 0:
         return None
 
-    digits = c.digits
-    n = len(digits)
-    t = spec.t
     off = 1 if spec.strict else 0
     sets: list[IntSet] = []
     set_colors: list[int] = []
-    prev_e, prev_d = 0, 0
-    for s in range(1, t + 1):
-        ms = spec.sizes[s - 1]
-        req = prev_d + off if s >= 2 else 0
-        found: tuple[int, int, int] | None = None
-        for e in range(prev_e + 1, n + 1):
-            k = digits[e - 1]
-            L = pos[k]
-            ei = rank[e]
-            if ei + 1 < ms:
-                continue
-            # Start must leave >= ms color-k elements in [i, e], keep the
-            # diameter >= req, stay past the previous set, and leave the
-            # later stages feasible.
-            hi = min(L[ei + 1 - ms], e - req)
-            lo = prev_e + 1
-            if s < t:
-                lim = S[s + 1][e + 1]
-                if lim < 0:
-                    continue
-                if lim < _POS:
-                    lo = max(lo, e - lim + off)
-            if hi < lo:
-                continue
-            idx = bisect.bisect_right(L, hi) - 1
-            if idx >= 0 and L[idx] >= lo:
-                found = (e, L[idx], k)
-                break
+    lo, req = 1, 0
+    for s, ms in enumerate(spec.sizes, 1):
+        found = _least_set(c, ms, lo, req, S[s + 1], off)
         assert found is not None, "suffix table promised feasibility"
         e, i, k = found
-        sets.append(_members(pos[k], i, e, ms))
+        sets.append(_members(c.positions_of(k), i, e, ms))
         set_colors.append(k)
-        prev_e, prev_d = e, e - i
+        lo, req = e + 1, e - i + off
     return Witness(sets=tuple(sets), colors=tuple(set_colors))
-
-
-def min_max_feasible(
-    c: Coloring, color: int, start: int, min_diam: int, m: int
-) -> tuple[int, int] | None:
-    """Smallest end of a color-`color` m-set in [start, N], diam >= min_diam.
-
-    Returns (end, achieved_diam) where end is the minimal possible max of
-    such a set and achieved_diam the minimal diameter among sets attaining
-    that end; None when no set qualifies.
-    """
-    if not 0 <= color < c.num_colors:
-        raise ValueError(f"color {color} out of range 0..{c.num_colors - 1}")
-    if not 1 <= start <= c.length:
-        raise ValueError(f"start {start} outside [1, {c.length}]")
-    if min_diam < 0:
-        raise ValueError(f"min_diam must be >= 0, got {min_diam}")
-    if m < 2:
-        raise ValueError(f"set size must be >= 2, got {m}")
-    L = c.positions_of(color)
-    a = bisect.bisect_left(L, start)
-    for ji in range(a + m - 1, len(L)):
-        j = L[ji]
-        cap = min(L[ji - m + 1], j - min_diam)
-        idx = bisect.bisect_right(L, cap, a) - 1
-        if idx >= a:
-            # The largest feasible start gives the least diameter, and
-            # later ends cannot beat this one.
-            return (j, j - L[idx])
-    return None
 
 
 # ======================================================================

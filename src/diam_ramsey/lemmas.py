@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .checker import _members, min_max_feasible
+from .checker import _least_set, _members
 from .coloring import Coloring, IntSet, format_run_string
 from .errors import LemmaViolationError
 from .search import _job_results
@@ -104,27 +104,19 @@ def _require_window(c: Coloring, m: int) -> None:
 def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     """The big set minimizing (max, diam), or None when no big set exists.
 
-    The two colors never tie: their maxima are positions of different
-    colors. The returned set is the deterministic representative: its
-    minimum, then the smallest positions of the winning color, then its
-    maximum.
+    The returned set is the deterministic representative: its minimum,
+    then the smallest positions of its color, then its maximum.
     """
     _require_window(c, m)
-    r0 = min_max_feasible(c, 0, 1, 2 * m - 2, m)
-    r1 = min_max_feasible(c, 1, 1, 2 * m - 2, m)
-    if r0 is None and r1 is None:
+    found = _least_set(c, m, 1, 2 * m - 2)
+    if found is None:
         return None
-    if r1 is None or (r0 is not None and r0 < r1):
-        j, d = r0
-        color = 0
-    else:
-        j, d = r1
-        color = 1
+    j, i, color = found
     return ExtremalB1(
-        b1=_members(c.positions_of(color), j - d, j, m),
+        b1=_members(c.positions_of(color), i, j, m),
         color_c1=color,
         beta=(3 * m - 2) - j,
-        alpha=d - (2 * m - 2),
+        alpha=(j - i) - (2 * m - 2),
     )
 
 

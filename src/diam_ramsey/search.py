@@ -23,7 +23,7 @@ import math
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .checker import IncrementalState, ProblemSpec, exists_solution
@@ -91,12 +91,7 @@ class SearchStats:
     worker_count: int
 
     def to_json(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "max_depth": self.max_depth,
-            "wall_time": self.wall_time,
-            "worker_count": self.worker_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -349,19 +344,11 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
             raise AssertionError(
                 "search reported a certificate that contains a solution"
             )
-    if best >= n_cap:
-        return SearchResult(
-            spec=spec,
-            f_value=None,
-            inconclusive=True,
-            n_cap=n_cap,
-            certificates=colorings,
-            stats=stats,
-        )
+    inconclusive = best >= n_cap
     return SearchResult(
         spec=spec,
-        f_value=best + 1,
-        inconclusive=False,
+        f_value=None if inconclusive else best + 1,
+        inconclusive=inconclusive,
         n_cap=n_cap,
         certificates=colorings,
         stats=stats,

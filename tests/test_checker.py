@@ -16,11 +16,10 @@ from diam_ramsey import (
     Witness,
     brute_force_exists,
     exists_solution,
-    min_max_feasible,
     parse_run_string,
     validate_witness,
 )
-from diam_ramsey.checker import _NEG, _suffix_table
+from diam_ramsey.checker import _NEG, _least_set, _suffix_table
 
 
 def _chains(c: Coloring, spec: ProblemSpec, first: int = 0):
@@ -206,7 +205,7 @@ def test_suffix_table_matches_definition() -> None:
     for _ in range(2000):
         spec, c = _random_case(rng, 12)
         n = c.length
-        S, _pos, _rank = _suffix_table(c, spec)
+        S = _suffix_table(c, spec)
         for s in range(1, spec.t + 1):
             ref = [_NEG] * (n + 2)
             for ch in _chains(c, spec, first=s - 1):
@@ -247,40 +246,27 @@ def test_canonical_witness_frozen_examples() -> None:
 
 
 # ======================================================================
-# min_max_feasible
+# least (max, diam) set
 # ======================================================================
 
-def _min_over_colors(c: Coloring, start: int, d: int, m: int):
-    found = [min_max_feasible(c, k, start, d, m) for k in range(c.num_colors)]
-    return min((f for f in found if f is not None), default=None)
+def _least(c: Coloring, start: int, d: int, m: int):
+    found = _least_set(c, m, start, d)
+    return None if found is None else (found[0], found[0] - found[1])
 
 
-def test_min_max_feasible_examples() -> None:
-    # 001000: a 2-set of diameter >= 1 starting at or after 1 first closes
-    # at position 2; requiring diameter >= 3 pushes the end to 4 paired
-    # with the 1 at 3... the only color-1 pair does not exist, so color 0
-    # supplies (4, 3) via {1, 4}.
+def test_least_set_examples() -> None:
+    # 001000: a 2-set of diameter >= 0 starting at or after 1 first closes
+    # at position 2 ({1, 2}); requiring diameter >= 3 pushes the end to 4,
+    # via {1, 4}, since the lone 1 at position 3 pairs with nothing.
     c = parse_run_string("0^210^3", 2)
-    assert _min_over_colors(c, 1, 0, 2) == (2, 1)
-    assert _min_over_colors(c, 1, 3, 2) == (4, 3)
-    assert _min_over_colors(c, 3, 1, 2) == (5, 1)
-    assert _min_over_colors(c, 1, 99, 2) is None
-    assert min_max_feasible(c, 1, 1, 0, 2) is None  # one color-1 position
+    assert _least(c, 1, 0, 2) == (2, 1)
+    assert _least(c, 1, 3, 2) == (4, 3)
+    assert _least(c, 3, 1, 2) == (5, 1)
+    assert _least(c, 1, 99, 2) is None
+    assert _least_set(c, 2, 1, 3) == (4, 1, 0)  # (max, min, color)
 
 
-def test_min_max_feasible_validation() -> None:
-    c = parse_run_string("0101", 2)
-    with pytest.raises(ValueError):
-        min_max_feasible(c, 0, 0, 0, 2)
-    with pytest.raises(ValueError):
-        min_max_feasible(c, 0, 1, -1, 2)
-    with pytest.raises(ValueError):
-        min_max_feasible(c, 0, 1, 0, 1)
-    with pytest.raises(ValueError):
-        min_max_feasible(c, 2, 1, 0, 2)
-
-
-def test_min_max_feasible_against_bruteforce() -> None:
+def test_least_set_against_bruteforce() -> None:
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randrange(2, 16)
@@ -298,7 +284,7 @@ def test_min_max_feasible_against_bruteforce() -> None:
                         cand = (j, j - i)
                         if ref is None or cand < ref:
                             ref = cand
-        assert _min_over_colors(c, start, d, m) == ref
+        assert _least(c, start, d, m) == ref
 
 
 # ======================================================================

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import diam_ramsey.lemmas as lemmas_mod
@@ -12,6 +14,7 @@ from diam_ramsey import (
     check_lemma22,
     classify_lemma21,
     find_extremal_b1,
+    format_run_string,
     parse_run_string,
     sweep_lemmas,
 )
@@ -50,6 +53,31 @@ def test_extremal_b1_prefers_smaller_diameter() -> None:
 def test_extremal_b1_absent() -> None:
     # every color class has diameter at most m-1
     assert find_extremal_b1(parse_run_string("0011", 2), 2) is None
+
+
+def test_extremal_b1_against_bruteforce() -> None:
+    """(max, diam, color) is the least over monochromatic m-sets with
+    diam >= 2m-2, enumerated from the definition on every coloring."""
+    for m in (2, 3, 4):
+        n = 3 * m - 2
+        for bits in range(1 << n):
+            c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
+            ref = min(
+                (
+                    (b[-1], b[-1] - b[0], c.color_at(b[0]))
+                    for b in itertools.combinations(range(1, n + 1), m)
+                    if b[-1] - b[0] >= 2 * m - 2
+                    and len({c.color_at(x) for x in b}) == 1
+                ),
+                default=None,
+            )
+            ext = find_extremal_b1(c, m)
+            got = (
+                None
+                if ext is None
+                else (ext.b1.max, ext.b1.max - ext.b1.min, ext.color_c1)
+            )
+            assert got == ref, (format_run_string(c), m)
 
 
 def test_extremal_b1_validation() -> None:
