@@ -10,7 +10,9 @@ Three independent routes decide existence:
 * exists_solution: a suffix dynamic program over (stage, start position),
   linear in N per stage; also extracts the canonical witness.
 * IncrementalState: a forward dynamic program maintained position by
-  position, built for the search engine's extend/retract loop.
+  position, built for the search engine's extend/retract loop. Its rows
+  are preallocated, extend updates only the stages up to one past the
+  last satisfiable one, and retract is O(1).
 * brute_force_exists: backtracking straight from the definition, capped
   at small N, kept as the reference oracle for the other two.
 
@@ -363,31 +365,44 @@ class IncrementalState:
     """Forward solution check maintained while a coloring grows.
 
     Keeps M[s][p] = minimal diam(B_s) over chains of stages 1..s inside
-    [1, p], for the prefix built so far. Appending one position updates
-    every stage; the prefix contains a solution exactly when M[t][p] is
-    finite, at which point the state is flagged and must not be extended
-    further (retract first).
+    [1, p] for the prefix built so far, in one preallocated row per stage
+    that doubles when full. The prefix contains a solution exactly when
+    M[t][p] is finite, at which point the state is flagged and must not be
+    extended further (retract first).
 
-    Single-owner by design: extend and retract mutate in place. Use
-    clone() when branching without retraction.
+    _k counts the stages satisfiable inside the prefix; the state is
+    flagged when it reaches t. A stage-s set ending at p needs stage s-1
+    satisfiable before its min, so one more position can make at most
+    stage k+1 satisfiable: extend updates stages 1..k+1 only. retract is
+    O(1): it drops the last position, un-counts a stage that first became
+    satisfiable there, and leaves the rows alone.
+    Cells past the prefix or above stage k+1 are stale and never read:
+    extend reads a stage s <= k+1 only at positions of the prefix that it
+    wrote for stage s, or set to _INF when stage s-1 became satisfiable.
+
+    Single-owner by design: extend and retract mutate in place.
     """
 
     __slots__ = (
-        "spec", "_digits", "_pos", "_m", "_first_finite", "_flagged"
+        "spec", "_r", "_t", "_sizes", "_off",
+        "_digits", "_pos", "_m", "_first_finite", "_k",
     )
 
     def __init__(self, spec: ProblemSpec) -> None:
         self.spec = spec
+        self._r = spec.num_colors
+        self._t = spec.t
+        self._sizes = spec.sizes
+        self._off = 1 if spec.strict else 0
         self._digits: list[int] = []
         self._pos: list[list[int]] = [[] for _ in range(spec.num_colors)]
-        # _m[s][p] for p = 0..len; stage 0 is identically 0.
-        self._m: list[list[int]] = [
-            [0] if s == 0 else [_INF] for s in range(spec.t + 1)
-        ]
-        # First position where stage s became satisfiable, _INF if never;
-        # lets the stage update skip start candidates that cannot work.
+        # _m[s][p] = M[s][p] for s = 1..t and p below the capacity; _m[0]
+        # is unused.
+        self._m: list[list[int]] = [[]] + [[_INF] * 32 for _ in range(spec.t)]
+        # First position where stage s became satisfiable, for s <= _k;
+        # starts at or below it cannot host stages 1..s.
         self._first_finite: list[int] = [0] + [_INF] * spec.t
-        self._flagged = False
+        self._k = 0
 
     @property
     def length(self) -> int:
@@ -395,78 +410,71 @@ class IncrementalState:
 
     @property
     def flagged(self) -> bool:
-        return self._flagged
-
-    def clone(self) -> "IncrementalState":
-        other = IncrementalState.__new__(IncrementalState)
-        other.spec = self.spec
-        other._digits = list(self._digits)
-        other._pos = [list(row) for row in self._pos]
-        other._m = [list(row) for row in self._m]
-        other._first_finite = list(self._first_finite)
-        other._flagged = self._flagged
-        return other
+        return self._k == self._t
 
     def extend(self, color: int) -> bool:
         """Append one position; returns True when a solution now exists."""
-        if self._flagged:
+        if self._k == self._t:
             raise FlaggedStateError(
                 "state already contains a solution; retract before extending"
             )
-        if not 0 <= color < self.spec.num_colors:
-            raise ValueError(
-                f"color {color} out of range 0..{self.spec.num_colors - 1}"
-            )
-        sizes = self.spec.sizes
-        strict = self.spec.strict
-        p = len(self._digits) + 1
-        self._digits.append(color)
-        self._pos[color].append(p)
-        self._m[0].append(0)
+        if not 0 <= color < self._r:
+            raise ValueError(f"color {color} out of range 0..{self._r - 1}")
+        digits = self._digits
+        digits.append(color)
+        p = len(digits)
         Lx = self._pos[color]
+        Lx.append(p)
         have = len(Lx)
-        for s in range(1, self.spec.t + 1):
-            ms = sizes[s - 1]
-            row = self._m[s]
+        rows = self._m
+        if p == len(rows[1]):
+            for row in rows[1:]:
+                row += [_INF] * p
+        sizes = self._sizes
+        # Stage 1 has no chain before it: the largest start wins.
+        row = rows[1]
+        best = row[p - 1]
+        idx = have - sizes[0]
+        if idx >= 0 and p - Lx[idx] < best:
+            best = p - Lx[idx]
+        row[p] = best
+        first = self._first_finite
+        off = self._off
+        for s in range(2, self._k + 2):
+            prev = row
+            row = rows[s]
             best = row[p - 1]
-            if have >= ms:
-                cb_idx = have - ms
-                if s == 1:
-                    # No chain constraint: the largest feasible start wins.
-                    i = Lx[cb_idx]
-                    if p - i < best:
+            idx = have - sizes[s - 1]
+            if idx >= 0:
+                # Starts at or below `lo` cannot improve on `best` or
+                # cannot host a finished prefix chain.
+                lo = max(p - best, first[s - 1])
+                while idx >= 0:
+                    i = Lx[idx]
+                    if i <= lo:
+                        break
+                    if prev[i - 1] + off <= p - i:
                         best = p - i
-                else:
-                    off = 1 if strict else 0
-                    prev_row = self._m[s - 1]
-                    # Starts at or below `lo` cannot improve on `best` or
-                    # cannot host a finished prefix chain.
-                    lo = max(p - best, self._first_finite[s - 1])
-                    idx = cb_idx
-                    while idx >= 0:
-                        i = Lx[idx]
-                        if i <= lo:
-                            break
-                        if prev_row[i - 1] + off <= p - i:
-                            best = p - i
-                            break
-                        idx -= 1
-            row.append(best)
-            if best < _INF and self._first_finite[s] == _INF:
-                self._first_finite[s] = p
-        if self._m[self.spec.t][p] < _INF:
-            self._flagged = True
-        return self._flagged
+                        break
+                    idx -= 1
+            row[p] = best
+        if best == _INF:
+            return False
+        # Stage k+1 became satisfiable at p.
+        k = self._k = self._k + 1
+        first[k] = p
+        if k == self._t:
+            return True
+        # Stage k+1 was not updated at p; the next extend starts from here.
+        rows[k + 1][p] = _INF
+        return False
 
     def retract(self) -> None:
         """Remove the last position, undoing the matching extend."""
-        if not self._digits:
+        digits = self._digits
+        if not digits:
             raise ValueError("cannot retract an empty state")
-        p = len(self._digits)
-        color = self._digits.pop()
-        self._pos[color].pop()
-        for s in range(self.spec.t + 1):
-            self._m[s].pop()
-            if self._first_finite[s] == p:
-                self._first_finite[s] = _INF
-        self._flagged = False
+        p = len(digits)
+        self._pos[digits.pop()].pop()
+        if self._first_finite[self._k] == p:
+            self._k -= 1

@@ -187,6 +187,7 @@ def _search_from(
     length >= guard appears.
     """
     state = IncrementalState(spec)
+    extend, retract = state.extend, state.retract
     r = spec.num_colors
     split = _SPLIT_DEPTH
     lead = part == 0
@@ -208,7 +209,7 @@ def _search_from(
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise _Stop
-            if not state.extend(x):
+            if not extend(x):
                 digits.append(x)
                 if guard is not None and d >= guard:
                     raise FormulaContradictedError(
@@ -239,7 +240,7 @@ def _search_from(
                 if keep or d < split:
                     dfs(d, max(used, x + 1) if symmetry else used)
                 digits.pop()
-            state.retract()
+            retract()
 
     with suppress(_Stop):
         dfs(0, 0)

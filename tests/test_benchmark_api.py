@@ -2,7 +2,9 @@
 
 The benchmark calls the package through its public attributes and wraps
 some methods by looking them up in the class dictionaries, so removing or
-renaming any of these breaks it without failing another test.
+renaming any of these breaks it without failing another test. The search
+must also call those methods through the class, or the wrapped call
+counts read zero.
 """
 
 from __future__ import annotations
@@ -35,3 +37,25 @@ def test_benchmark_names_resolve() -> None:
     assert "__init__" in diam_ramsey.Coloring.__dict__
     for attr in ("extend", "retract"):
         assert attr in diam_ramsey.IncrementalState.__dict__
+
+
+def test_class_level_wrappers_count_every_node(monkeypatch) -> None:
+    """perfbench reads checker.extend.calls from wrappers installed on the
+    class: the search must reach extend and retract through them, once per
+    expanded node."""
+    cls = diam_ramsey.IncrementalState
+    calls = {"extend": 0, "retract": 0}
+    for attr in calls:
+        orig = cls.__dict__[attr]
+
+        def wrapper(*args, _orig=orig, _attr=attr):
+            calls[_attr] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+    result = diam_ramsey.compute_f(
+        diam_ramsey.ProblemSpec((3, 3, 3), 2),
+        diam_ramsey.SearchConfig(mode="value_only", worker_count=1),
+    )
+    assert result.f_value == 20
+    assert calls["extend"] == calls["retract"] == result.stats.nodes_expanded

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diam_ramsey import (
     Coloring,
@@ -16,10 +18,16 @@ from diam_ramsey import (
     Witness,
     brute_force_exists,
     exists_solution,
+    lower_bound_coloring,
     parse_run_string,
     validate_witness,
 )
-from diam_ramsey.checker import _NEG, _least_set, _suffix_table
+from diam_ramsey.checker import (
+    DEFAULT_ORACLE_CAP,
+    _NEG,
+    _least_set,
+    _suffix_table,
+)
 
 
 def _chains(c: Coloring, spec: ProblemSpec, first: int = 0):
@@ -334,31 +342,159 @@ def test_incremental_matches_exists_on_prefixes() -> None:
             if flagged:
                 state.retract()
                 digits.pop()
+    # Constructions of length f(m,m,m;2) - 1 avoid and every one-position
+    # extension flags; at m = 12 (length 97) the rows double twice.
+    for m in (5, 12):
+        spec = ProblemSpec((m, m, m), 2)
+        state = IncrementalState(spec)
+        assert not any(state.extend(x) for x in lower_bound_coloring(m).digits)
+        for x in (0, 1):
+            assert state.extend(x)
+            state.retract()
+
+
+def _continuation_flags(state: IncrementalState, r: int, depth: int) -> list:
+    """The flag of every continuation of up to `depth` positions, in DFS
+    order, walked by extend/retract so the state ends as it began."""
+    flags = []
+    for x in range(r):
+        flagged = state.extend(x)
+        flags.append(flagged)
+        if not flagged and depth > 1:
+            flags.append(_continuation_flags(state, r, depth - 1))
+        state.retract()
+    return flags
 
 
 def test_incremental_retract_restores() -> None:
-    spec = ProblemSpec((2, 2), 2)
-    state = IncrementalState(spec)
-    for k in (0, 1, 0, 1):
-        assert not state.extend(k)
-    snapshot = state.clone()
-    state.extend(0)
-    state.retract()
-    assert state.length == snapshot.length
-    # replay the same suffix on both copies: 0101000 first flags at
-    # length 7 via {1,3} then {5,7}
-    for s in (state, snapshot):
-        flags = [s.extend(0), s.extend(0), s.extend(0)]
-        assert flags == [False, False, True]
+    """extend then retract leaves a state that behaves as a fresh replay of
+    the same prefix, also after stages became satisfiable and were undone."""
+    rng = random.Random(2718)
+    for spec in (
+        ProblemSpec((2, 2), 2),
+        ProblemSpec((2, 3, 2), 2),
+        ProblemSpec((3, 2), 2, strict=True),
+        ProblemSpec((2, 2, 2), 3),
+    ):
+        r = spec.num_colors
+        for _ in range(30):
+            state = IncrementalState(spec)
+            prefix: list[int] = []
+            while len(prefix) < 12:
+                for x in rng.sample(range(r), r):
+                    if not state.extend(x):
+                        prefix.append(x)
+                        break
+                    state.retract()
+                else:
+                    break
+            for x in rng.choices(range(r), k=3):
+                if state.extend(x):
+                    break
+            while state.length > len(prefix):
+                state.retract()
+            fresh = IncrementalState(spec)
+            for x in prefix:
+                fresh.extend(x)
+            assert state.length == fresh.length == len(prefix)
+            assert not state.flagged and not fresh.flagged
+            assert _continuation_flags(state, r, 4) == _continuation_flags(
+                fresh, r, 4
+            ), (spec.label(), prefix)
 
 
 def test_incremental_flag_then_extend_errors() -> None:
+    """Out-of-range colors and a flagged state refuse to extend and change
+    nothing; an empty state refuses to retract."""
     spec = ProblemSpec((2, 2), 2)
     state = IncrementalState(spec)
-    for k in (0, 0, 0, 0):
+    for k in (0, 0, 0):
         state.extend(k)
-    assert state.flagged
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            state.extend(bad)
+        assert state.length == 3 and not state.flagged
+    assert state.extend(0)
+    assert state.flagged and state.length == 4
     with pytest.raises(FlaggedStateError):
-        state.extend(0)
+        state.extend(1)
+    assert state.length == 4
+    state.retract()
+    assert not state.flagged and not state.extend(1)
     with pytest.raises(ValueError):
         IncrementalState(spec).retract()
+
+
+def test_incremental_dfs_matches_exists() -> None:
+    """Walk the whole avoiding tree by extend/retract, as the search does,
+    and check each flag with the suffix DP. On these specs later branches
+    reach a position with fewer stages satisfied than earlier ones did, so
+    a stale row cell would show."""
+    for spec in (
+        ProblemSpec((2, 2), 3),
+        ProblemSpec((2, 2, 2), 2),
+        ProblemSpec((2, 2, 2, 2), 2),
+    ):
+        r = spec.num_colors
+        state = IncrementalState(spec)
+        digits: list[int] = []
+
+        def walk() -> None:
+            for x in range(r):
+                digits.append(x)
+                flagged = state.extend(x)
+                c = Coloring(digits, r)
+                assert flagged == (exists_solution(c, spec) is not None), c
+                if not flagged:
+                    walk()
+                state.retract()
+                digits.pop()
+
+        walk()
+
+
+@st.composite
+def _state_walks(draw):
+    """A spec (sizes 2..4, t = 1..4, r = 2..4, strict or not) and a list
+    of operations: a color to extend, or None to retract."""
+    t = draw(st.integers(1, 4))
+    sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=t, max_size=t)))
+    r = draw(st.integers(2, 4))
+    spec = ProblemSpec(sizes, r, draw(st.booleans()))
+    op = st.one_of(st.none(), st.integers(0, r - 1))
+    return spec, draw(st.lists(op, min_size=10, max_size=60))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_state_walks())
+def test_incremental_differential_walks(walk) -> None:
+    """After every extend or retract the flag agrees with the suffix DP and
+    the brute oracle on the current prefix; a flagged state is retracted.
+    Retracts leave stale cells in the rows that no later extend may read."""
+    spec, ops = walk
+    state = IncrementalState(spec)
+    digits: list[int] = []
+
+    def check() -> None:
+        assert state.length == len(digits)
+        if not digits:
+            assert not state.flagged
+            return
+        c = Coloring(digits, spec.num_colors)
+        found = exists_solution(c, spec) is not None
+        brute = brute_force_exists(c, spec) is not None
+        assert state.flagged == found == brute
+
+    for x in ops:
+        if x is None or len(digits) == DEFAULT_ORACLE_CAP:
+            if digits:
+                state.retract()
+                digits.pop()
+        else:
+            state.extend(x)
+            digits.append(x)
+        check()
+        if state.flagged:
+            state.retract()
+            digits.pop()
+            check()
