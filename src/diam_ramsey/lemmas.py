@@ -20,6 +20,7 @@ both statements. Case frequencies from the sweeps feed the CLI histogram.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 
 from .checker import _least_set, _members
@@ -58,11 +59,12 @@ class Lemma21Case:
     """Which structural case the window matches.
 
     case_tag is the first match in the order (i), (ii), (iii); mask lists
-    every case that matches (the cases overlap). mu and nu are the run
-    parameters of case (i), 0 when the tag is a different case. h_strings
-    holds the variable substrings of the matched pattern as
-    (name, relabeled digits, (start, end)) with 1-based positions in R;
-    an empty substring carries (start, start-1).
+    every case that matches (the cases overlap). mu, nu and h_strings come
+    from the matcher that set the tag. mu and nu are the run parameters of
+    case (i), 0 when the tag is a different case. h_strings holds the
+    variable substrings of the matched pattern, at the offsets the matcher
+    tested, as (name, relabeled digits, (start, end)) with 1-based
+    positions in R; an empty substring carries (start, start-1).
     """
 
     case_tag: str
@@ -131,105 +133,94 @@ def _frame(c: Coloring, m: int, beta: int, k: int) -> tuple[int, ...]:
     )
 
 
+def _cut(
+    s: tuple[int, ...], name: str, start: int, length: int
+) -> tuple[str, str, tuple[int, int]]:
+    """The named substring of s at 1-based start, as reported in h_strings."""
+    digits = "".join(map(str, s[start - 1 : start - 1 + length]))
+    return (name, digits, (start, start + length - 1))
+
+
+_Match = tuple[int, int, tuple[tuple[str, str, tuple[int, int]], ...]]
+
+
 def _match_case_i(
     s: tuple[int, ...], m: int, beta: int, alpha: int
-) -> tuple[int, int] | None:
-    """First (nu, mu) decomposing s as 1^(m-1-beta-nu) H0 0 H1 1^(1+nu)."""
+) -> _Match | None:
+    """First (nu, mu, (H0, H1)) reading s as 1^(m-1-beta-nu) H0 0 H1 1^(1+nu)."""
     r_len = len(s)
-    if beta > m - 2:
+    if beta > m - 2 or s.count(0) < m:
         return None
-    if s.count(0) < m:
-        return None
-    for nu in range(0, m - beta):
+    if beta == m - 1 - alpha:
+        pairs = [(nu, mu) for nu in range(m - beta) for mu in range(m - alpha)]
+    else:
+        pairs = [(0, 0)]
+    for nu, mu in pairs:
         pre = m - 1 - beta - nu
         if pre < 0:
             continue
-        for mu in range(0, m - alpha):
-            if not (beta == m - 1 - alpha or (nu == 0 and mu == 0)):
-                continue
-            h0_len = m - 1 + beta - mu
-            h1_len = m - 2 - beta + mu
-            if h0_len < 0 or h1_len < 0:
-                continue
-            assert pre + h0_len + 1 + h1_len + 1 + nu == r_len
-            if any(x != 1 for x in s[:pre]):
-                continue
-            if s[pre + h0_len] != 0:
-                continue
-            if any(x != 1 for x in s[r_len - 1 - nu:]):
-                continue
-            h0 = s[pre : pre + h0_len]
-            h1 = s[pre + h0_len + 1 : pre + h0_len + 1 + h1_len]
-            if sum(h0) != m - 1 - alpha - mu:
-                continue
-            if sum(h1) != mu:
-                continue
-            return (nu, mu)
+        h0_len = m - 1 + beta - mu
+        h1_len = m - 2 - beta + mu
+        if h0_len < 0 or h1_len < 0:
+            continue
+        assert pre + h0_len + 1 + h1_len + 1 + nu == r_len
+        if any(x != 1 for x in s[:pre]):
+            continue
+        if s[pre + h0_len] != 0:
+            continue
+        if any(x != 1 for x in s[r_len - 1 - nu:]):
+            continue
+        h0 = s[pre : pre + h0_len]
+        h1 = s[pre + h0_len + 1 : pre + h0_len + 1 + h1_len]
+        if sum(h0) != m - 1 - alpha - mu or sum(h1) != mu:
+            continue
+        return nu, mu, (
+            _cut(s, "H0", pre + 1, h0_len),
+            _cut(s, "H1", pre + h0_len + 2, h1_len),
+        )
     return None
 
 
-def _match_case_ii(s: tuple[int, ...], m: int, beta: int, alpha: int) -> bool:
-    """Does s read as 0^(m-alpha-beta-1) 1 H2 1^(m-beta) with the side counts?"""
+def _match_case_ii(
+    s: tuple[int, ...], m: int, beta: int, alpha: int
+) -> _Match | None:
+    """(0, 0, (H2,)) when s reads as 0^(m-alpha-beta-1) 1 H2 1^(m-beta)."""
     if not (beta < m - 1 - alpha or beta == m - 1):
-        return False
+        return None
     r_len = len(s)
     zeros = m - alpha - beta - 1
     h2_len = m - 2 + beta + alpha
     assert zeros + 1 + h2_len + (m - beta) == r_len
     if any(x != 0 for x in s[:zeros]):
-        return False
+        return None
     if s[zeros] != 1:
-        return False
+        return None
     if any(x != 1 for x in s[r_len - (m - beta):]):
-        return False
+        return None
     if beta <= m - 2 and s.count(0) < m:
-        return False
+        return None
     if alpha > 0:
         h2 = s[zeros + 1 : zeros + 1 + h2_len]
         if beta < 1 or sum(h2) != beta - 1:
-            return False
-    return True
+            return None
+    return (0, 0, (_cut(s, "H2", zeros + 2, h2_len),))
 
 
-def _match_case_iii(s: tuple[int, ...], m: int, beta: int, alpha: int) -> bool:
-    """Few zeros overall: the first m ones sit early with few zeros between."""
-    if beta < alpha:
-        return False
-    if s.count(0) >= m:
-        return False
+def _match_case_iii(
+    s: tuple[int, ...], m: int, beta: int, alpha: int
+) -> _Match | None:
+    """(0, 0, ()) when the first m ones sit early with few zeros between."""
+    if beta < alpha or s.count(0) >= m:
+        return None
     ones = [x + 1 for x, v in enumerate(s) if v == 1]
     if len(ones) < m:
-        return False
+        return None
     if ones[m - 1] > 3 * m - 3 - beta - alpha:
-        return False
-    zeros_between = sum(
-        1 for x in range(ones[0], ones[m - 1] + 1) if s[x - 1] == 0
-    )
-    return zeros_between <= beta
-
-
-def _substrings_for(
-    s: tuple[int, ...], m: int, beta: int, alpha: int,
-    tag: str, numu: tuple[int, int] | None,
-) -> tuple[tuple[str, str, tuple[int, int]], ...]:
-    def cut(name: str, start: int, length: int):
-        digits = "".join(str(x) for x in s[start - 1 : start - 1 + length])
-        return (name, digits, (start, start + length - 1))
-
-    if tag == "i":
-        nu, mu = numu
-        pre = m - 1 - beta - nu
-        h0_len = m - 1 + beta - mu
-        h1_len = m - 2 - beta + mu
-        return (
-            cut("H0", pre + 1, h0_len),
-            cut("H1", pre + h0_len + 2, h1_len),
-        )
-    if tag == "ii":
-        zeros = m - alpha - beta - 1
-        h2_len = m - 2 + beta + alpha
-        return (cut("H2", zeros + 2, h2_len),)
-    return ()
+        return None
+    # [ones[0], ones[m-1]] holds exactly m ones; the rest are zeros.
+    if ones[m - 1] - ones[0] + 1 - m > beta:
+        return None
+    return (0, 0, ())
 
 
 def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
@@ -237,7 +228,8 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
 
     The frame relabels colors so that b1's color reads as 1. The tag is
     the first matching case in the order (i), (ii), (iii); the mask lists
-    every match.
+    every match. nu, mu and h_strings come from the matcher that set the
+    tag, at the offsets it tested.
 
     Raises:
         LemmaViolationError: no case matches. This would falsify the
@@ -247,12 +239,12 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
     _require_window(c, m)
     beta, alpha = b1.beta, b1.alpha
     s = _frame(c, m, beta, b1.color_c1)
-    numu = _match_case_i(s, m, beta, alpha)
-    mask = () if numu is None else ("i",)
-    if _match_case_ii(s, m, beta, alpha):
-        mask += ("ii",)
-    if _match_case_iii(s, m, beta, alpha):
-        mask += ("iii",)
+    found = {
+        "i": _match_case_i(s, m, beta, alpha),
+        "ii": _match_case_ii(s, m, beta, alpha),
+        "iii": _match_case_iii(s, m, beta, alpha),
+    }
+    mask = tuple(tag for tag, match in found.items() if match)
     if not mask:
         raise LemmaViolationError(
             f"no structural case matches {format_run_string(c)} "
@@ -260,14 +252,9 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
             coloring=c,
             clause="lemma 2.1: disjunction (i)/(ii)/(iii)",
         )
-    tag = mask[0]
-    nu, mu = numu if tag == "i" else (0, 0)
+    nu, mu, h_strings = found[mask[0]]
     return Lemma21Case(
-        case_tag=tag,
-        mask=mask,
-        mu=mu,
-        nu=nu,
-        h_strings=_substrings_for(s, m, beta, alpha, tag, numu),
+        case_tag=mask[0], mask=mask, mu=mu, nu=nu, h_strings=h_strings
     )
 
 
@@ -404,19 +391,18 @@ class LemmaSweepReport:
         }
 
 
-def _sweep_range(args: tuple[int, int, int]) -> tuple[dict, dict]:
-    """Case and branch counts over colorings part, part + parts, ... ."""
+def _sweep_range(args: tuple[int, int, int]) -> Counter:
+    """Case tags and branches counted over colorings part, part + parts, ... ."""
     m, part, parts = args
     n = 3 * m - 2
-    case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
-    branch_counts = {"no_big_set": 0, "big_set": 0}
+    tally: Counter = Counter()
     for bits in range(part, 1 << n, parts):
         digits = [(bits >> x) & 1 for x in range(n)]
         finding = check_lemma22(Coloring(digits, 2), m)
         case = finding.case
-        case_counts["no_b1" if case is None else case.case_tag] += 1
-        branch_counts[finding.branch] += 1
-    return case_counts, branch_counts
+        tally["no_b1" if case is None else case.case_tag] += 1
+        tally[finding.branch] += 1
+    return tally
 
 
 def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
@@ -430,17 +416,11 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
         raise ValueError(f"m must be >= 2, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    case_counts = {"no_b1": 0, "i": 0, "ii": 0, "iii": 0}
-    branch_counts = {"no_big_set": 0, "big_set": 0}
     with _job_results(_sweep_range, (m,), workers) as results:
-        for cc, bc in results:
-            for key, val in cc.items():
-                case_counts[key] += val
-            for key, val in bc.items():
-                branch_counts[key] += val
+        tally = sum(results, Counter())
     return LemmaSweepReport(
         m=m,
         total=1 << (3 * m - 2),
-        case_counts=case_counts,
-        branch_counts=branch_counts,
+        case_counts={k: tally[k] for k in ("no_b1", "i", "ii", "iii")},
+        branch_counts={k: tally[k] for k in ("no_big_set", "big_set")},
     )

@@ -40,7 +40,8 @@ __all__ = [
     "enumerate_avoiding",
 ]
 
-_MODES = ("value_only", "one_certificate", "all_certificates")
+# Certificates each mode keeps at the best length (None: all of them).
+_CERT_CAP = {"value_only": 0, "one_certificate": 1, "all_certificates": None}
 
 # Length of the avoiding prefixes dealt to the parts of a run: the i-th in
 # DFS order goes to part i % parts, and part 0 owns every shorter prefix.
@@ -68,8 +69,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n_cap is not None and self.n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {self.n_cap}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in _CERT_CAP:
+            raise ValueError(
+                f"mode must be one of {tuple(_CERT_CAP)}, got {self.mode!r}"
+            )
         if self.worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
         if self.max_nodes is not None and self.max_nodes < 1:
@@ -189,6 +192,7 @@ def _search_from(
     state = IncrementalState(spec)
     extend, retract = state.extend, state.retract
     r = spec.num_colors
+    cap = _CERT_CAP[mode]
     split = _SPLIT_DEPTH
     lead = part == 0
     best = 0
@@ -223,17 +227,11 @@ def _search_from(
                 if d == split:
                     keep = dealt % parts == part
                     dealt += 1
-                if keep:
+                if keep and d >= best:
                     if d > best:
                         best = d
-                        if mode == "all_certificates":
-                            certs.clear()
-                            certs.append(tuple(digits))
-                            if len(certs) == limit and d == n_cap:
-                                raise _Stop
-                        elif mode == "one_certificate":
-                            certs[:] = [tuple(digits)]
-                    elif d == best and mode == "all_certificates":
+                        certs.clear()
+                    if cap is None or len(certs) < cap:
                         certs.append(tuple(digits))
                         if len(certs) == limit and d == n_cap:
                             raise _Stop
@@ -321,7 +319,7 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
             if max_nodes is not None and nodes > max_nodes:
                 budget_hit = True
                 break
-    certs.sort()
+    certs = sorted(certs)[: _CERT_CAP[mode]]
 
     wall = time.perf_counter() - t0
     stats = SearchStats(
@@ -336,8 +334,6 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
             f"(deepest avoiding length so far: {best})",
             stats=stats,
         )
-    if mode == "one_certificate" and len(certs) > 1:
-        certs = [min(certs)]
     colorings = tuple(Coloring(t, spec.num_colors) for t in certs)
     # Belt and suspenders: certificates must survive the full checker.
     for cert in colorings:

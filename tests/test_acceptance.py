@@ -144,6 +144,10 @@ def test_criterion_7_lemma_sweeps() -> None:
 def test_criterion_7_lemma_sweep_m6() -> None:
     report = sweep_lemmas(6)
     assert report.total == 65536
+    assert report.case_counts == {
+        "no_b1": 32, "i": 13018, "ii": 28178, "iii": 24308,
+    }
+    assert report.branch_counts == {"no_big_set": 32, "big_set": 65504}
     print("PASS criterion 7 (slow entry): lemma sweep clean at m = 6")
 
 

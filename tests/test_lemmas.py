@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -128,6 +129,45 @@ def test_classify_case_iii_has_no_substrings() -> None:
     assert (case.nu, case.mu) == (0, 0)
 
 
+def test_classify_h_strings_rebuild_every_frame() -> None:
+    """On every coloring with a big set, the reported substrings sit where
+    they say, carry the lemma's one-counts, and together with the fixed
+    runs of the tagged case spell out the whole window R."""
+    for m in (2, 3, 4, 5):
+        n = 3 * m - 2
+        for bits in range(1 << n):
+            c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
+            ext = find_extremal_b1(c, m)
+            if ext is None:
+                continue
+            a, b, k = ext.alpha, ext.beta, ext.color_c1
+            frame = "".join(
+                "1" if c.color_at(x) == k else "0" for x in range(1, n - b + 1)
+            )
+            case = classify_lemma21(c, ext)
+            where = (format_run_string(c), m, case)
+            for _name, digits, (lo, hi) in case.h_strings:
+                assert hi - lo + 1 == len(digits), where
+                assert frame[lo - 1 : hi] == digits, where
+            h = {name: digits for name, digits, _span in case.h_strings}
+            if case.case_tag == "i":
+                nu, mu = case.nu, case.mu
+                rebuilt = (
+                    "1" * (m - 1 - b - nu) + h["H0"] + "0" + h["H1"]
+                    + "1" * (1 + nu)
+                )
+                assert h["H0"].count("1") == m - 1 - a - mu, where
+                assert h["H1"].count("1") == mu, where
+            elif case.case_tag == "ii":
+                rebuilt = "0" * (m - a - b - 1) + "1" + h["H2"] + "1" * (m - b)
+                if a > 0:
+                    assert h["H2"].count("1") == b - 1, where
+            else:
+                assert case.h_strings == (), where
+                continue
+            assert rebuilt == frame, where
+
+
 def test_classify_violation_is_loud(monkeypatch) -> None:
     """Disable every matcher and expect the alarm, not a quiet miss."""
     c = parse_run_string("1111", 2)
@@ -220,17 +260,13 @@ def test_sweep_parallel_agrees() -> None:
 def test_sweep_parts_add_up() -> None:
     """Summed over the parts of any cut, the counts equal the whole sweep."""
     whole = sweep_lemmas(4)
+    expected = Counter({**whole.case_counts, **whole.branch_counts})
     for parts in (1, 2, 3, 5, 8):
-        cases = {key: 0 for key in whole.case_counts}
-        branches = {key: 0 for key in whole.branch_counts}
-        for k in range(parts):
-            cc, bc = lemmas_mod._sweep_range((4, k, parts))
-            for key, val in cc.items():
-                cases[key] += val
-            for key, val in bc.items():
-                branches[key] += val
-        assert cases == whole.case_counts
-        assert branches == whole.branch_counts
+        summed = sum(
+            (lemmas_mod._sweep_range((4, k, parts)) for k in range(parts)),
+            Counter(),
+        )
+        assert summed == expected, parts
 
 
 def test_sweep_validation() -> None:
