@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .checker import _least_set, _members
 from .coloring import Coloring, IntSet, format_run_string
@@ -262,39 +262,26 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
 # lemma 2.2: promised small-diameter sets
 # ======================================================================
 
-def _constant_runs(c: Coloring, m: int) -> list[int]:
-    """Start positions of runs of m consecutive equally colored positions."""
-    digits = c.digits
-    n = len(digits)
-    return [
-        s
-        for s in range(1, n - m + 2)
-        if all(digits[x] == digits[s - 1] for x in range(s, s + m - 1))
-    ]
-
-
 def _min_diam_mset(
-    c: Coloring, m: int, limit: int
+    c: Coloring, m: int, lo: int, hi: int
 ) -> tuple[IntSet, int] | None:
-    """A monochromatic m-set within [1, limit] of minimal diameter.
+    """A monochromatic m-set within [lo, hi] of minimal diameter.
 
     Ties resolve toward the smaller maximum, then the smaller color, so
     the returned set is deterministic.
     """
-    best: tuple[int, int, int, int] | None = None  # (diam, max, color, start_idx)
+    best: tuple[int, int, int, int] | None = None  # (diam, max, color, index)
     for k in (0, 1):
-        whole = c.positions_of(k)
-        L = whole[: bisect.bisect_right(whole, limit)]
-        for a in range(len(L) - m + 1):
-            d = L[a + m - 1] - L[a]
-            key = (d, L[a + m - 1], k, a)
+        L = c.positions_of(k)
+        end = bisect.bisect_right(L, hi)
+        for a in range(bisect.bisect_left(L, lo), end - m + 1):
+            key = (L[a + m - 1] - L[a], L[a + m - 1], k, a)
             if best is None or key < best:
                 best = key
     if best is None:
         return None
     d, _mx, k, a = best
-    L = c.positions_of(k)
-    return IntSet(L[a : a + m]), d
+    return IntSet(c.positions_of(k)[a : a + m]), d
 
 
 def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
@@ -309,24 +296,19 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     _require_window(c, m)
     ext = find_extremal_b1(c, m)
     if ext is None:
-        runs = _constant_runs(c, m)
-        d1_start = runs[0] if runs else None
-        d2_start = next(
-            (s for s in runs if d1_start is not None and s >= d1_start + m),
-            None,
-        )
-        if d1_start is None or d2_start is None:
+        # A constant run of length m is exactly an m-set of diameter m-1,
+        # and the earliest one has the least max.
+        n = 3 * m - 2
+        d1 = _min_diam_mset(c, m, 1, n)
+        d2 = None if d1 is None else _min_diam_mset(c, m, d1[0].max + 1, n)
+        if d1 is None or d2 is None or d1[1] != m - 1 or d2[1] != m - 1:
             raise LemmaViolationError(
                 f"no big set in {format_run_string(c)}, yet no two disjoint "
                 f"constant runs of length {m} exist",
                 coloring=c,
                 clause="lemma 2.2: no_big_set branch",
             )
-        return Lemma22Finding(
-            branch="no_big_set",
-            d1=IntSet(range(d1_start, d1_start + m)),
-            d2=IntSet(range(d2_start, d2_start + m)),
-        )
+        return Lemma22Finding(branch="no_big_set", d1=d1[0], d2=d2[0])
 
     case = classify_lemma21(c, ext)
     alpha, beta = ext.alpha, ext.beta
@@ -338,7 +320,7 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
         bound_a1 = min(bound_a1, 2 * m - 2 - alpha - case.mu)
     bound_a2 = m + (m - 1 + beta) // 2 - 1
 
-    found = _min_diam_mset(c, m, limit)
+    found = _min_diam_mset(c, m, 1, limit)
     if found is None or found[1] > bound_a1 or found[1] > bound_a2:
         got = "none" if found is None else str(found[1])
         raise LemmaViolationError(
@@ -352,7 +334,7 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
 
     a3: IntSet | None = None
     if "i" in case.mask:
-        inner = _min_diam_mset(c, m, m + alpha + beta)
+        inner = _min_diam_mset(c, m, 1, m + alpha + beta)
         if inner is None or inner[1] > m + alpha + beta - 1:
             raise LemmaViolationError(
                 f"case (i) promises a monochromatic {m}-set within "
@@ -382,13 +364,7 @@ class LemmaSweepReport:
     ties: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "total": self.total,
-            "case_counts": dict(self.case_counts),
-            "branch_counts": dict(self.branch_counts),
-            "ties": self.ties,
-        }
+        return asdict(self)
 
 
 def _sweep_range(args: tuple[int, int, int]) -> Counter:

@@ -6,15 +6,15 @@ by position, pruning any prefix that already contains a solution (sound:
 solutions persist under extension), and reports the maximum avoiding
 length reached together with the avoiding colorings at that length.
 
-Symmetry reduction explores one representative per color-permutation
-orbit: a prefix may introduce a new color only as the smallest color index
-not yet used. Every run is cut into n = min(workers, usable CPUs) parts,
-one process each (no process at all when n is 1). Each part walks the
-shallow levels itself and deals the avoiding prefixes at a fixed depth
-round-robin in DFS order, keeping only its own subtrees; the merge (max
-over part maxima, sorted certificate union, summed node counts) fixes the
-result, so it does not depend on the worker count. stats.worker_count
-still reports the requested count.
+compute_f explores one representative per color-permutation orbit: a
+prefix may introduce a new color only as the smallest color index not yet
+used (enumerate_avoiding can also walk the unreduced tree). Every run is
+cut into n = min(workers, usable CPUs) parts, one process each (no process
+at all when n is 1). Each part walks the shallow levels itself and deals
+the avoiding prefixes at a fixed depth round-robin in DFS order, keeping
+only its own subtrees; the merge (max over part maxima, sorted certificate
+union, summed node counts) fixes the result, so it does not depend on the
+worker count. stats.worker_count still reports the requested count.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class SearchConfig:
 
     n_cap: int | None = None
     mode: str = "one_certificate"
-    symmetry_reduction: bool = True
     worker_count: int = 1
     max_nodes: int | None = None
 
@@ -131,27 +130,26 @@ def formula_f_mmm2(m: int) -> int:
     return 8 * m - 5 + (2 * m - 2) // 3 + (1 if m in (2, 5) else 0)
 
 
+# (number of sets, number of colors) -> f(m, ..., m; r) as a function of m
+_CLOSED_FORMS = {
+    (2, 2): lambda m: 5 * m - 3,
+    (2, 3): lambda m: 9 * m - 7,
+    (2, 4): lambda m: 12 * m - 9,
+    (3, 2): formula_f_mmm2,
+}
+
+
 def known_value(spec: ProblemSpec) -> int | None:
     """Closed-form value of f for the families that have one, else None.
 
-    Covers f(m,m;2) = 5m-3, f(m,m;3) = 9m-7, f(m,m;4) = 12m-9, and
+    The families are the keys of _CLOSED_FORMS, each with all sets of one
+    size m: f(m,m;2) = 5m-3, f(m,m;3) = 9m-7, f(m,m;4) = 12m-9, and
     f(m,m,m;2). The strict variant has no covered closed form.
     """
-    if spec.strict:
+    form = _CLOSED_FORMS.get((spec.t, spec.num_colors))
+    if spec.strict or form is None or len(set(spec.sizes)) != 1:
         return None
-    sizes = spec.sizes
-    if len(sizes) == 2 and sizes[0] == sizes[1]:
-        m = sizes[0]
-        if spec.num_colors == 2:
-            return 5 * m - 3
-        if spec.num_colors == 3:
-            return 9 * m - 7
-        if spec.num_colors == 4:
-            return 12 * m - 9
-    if len(sizes) == 3 and sizes[0] == sizes[1] == sizes[2]:
-        if spec.num_colors == 2:
-            return formula_f_mmm2(sizes[0])
-    return None
+    return form(spec.sizes[0])
 
 
 # ======================================================================
@@ -304,9 +302,8 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
         )
     t0 = time.perf_counter()
     mode = config.mode
-    symmetry = config.symmetry_reduction
     max_nodes = config.max_nodes
-    args = (spec, n_cap, mode, symmetry, guard, max_nodes)
+    args = (spec, n_cap, mode, True, guard, max_nodes)
     best, certs, nodes, budget_hit = 0, [], 0, False
     with _job_results(_worker_search, args, config.worker_count) as results:
         for wbest, wcerts, wnodes in results:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,105 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
 def run_json(capsys, *argv: str) -> tuple[int, dict]:
     code, out, _ = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def _masked(out: str) -> str:
+    """stdout with the only varying field, the wall time, replaced by *."""
+    out = re.sub(r"wall time: [0-9.]+s", "wall time: *s", out)
+    return re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": "*"', out)
+
+
+def _doc(command: str, result: dict, spec: dict | None = None,
+         stats: dict | None = None) -> str:
+    """The exact stdout of a --json call."""
+    return json.dumps(
+        {"command": command, "spec": spec, "result": result, "stats": stats,
+         "version": __version__},
+        indent=2, sort_keys=True,
+    ) + "\n"
+
+
+def _spec(*sizes: int, colors: int = 2) -> dict:
+    return {"sizes": list(sizes), "num_colors": colors, "strict": False}
+
+
+# (argv, exit code, full stdout with the wall time masked)
+GOLDEN = [
+    ("compute --sizes 2,2 --colors 2", 0,
+     "f(2,2;2) = 7\n"
+     "certificate: 010^31\n"
+     "nodes expanded: 45, max depth: 6, wall time: *s, workers: 1\n"),
+    ("compute --sizes 2,2 --colors 4 --cap 10", 3,
+     "f(2,2;4) > 10 (cap reached; inconclusive)\n"
+     "certificate: 012010^323\n"
+     "nodes expanded: 6344, max depth: 10, wall time: *s, workers: 1\n"),
+    ("compute --sizes 2,2 --colors 2 --certificates all --json", 0,
+     _doc("compute",
+          {"certificates": ["010^31", "01010^2", "0101^20"], "f_value": 7},
+          _spec(2, 2),
+          {"max_depth": 6, "nodes_expanded": 45, "wall_time": "*",
+           "worker_count": 1})),
+    ("construct --m 3", 0, "01^20^21^2010^21^60^2\n"),
+    ("construct --m 3 --json", 0,
+     _doc("construct", {"coloring": "01^20^21^2010^21^60^2", "length": 19},
+          _spec(3, 3, 3))),
+    ("verify --string 0^12 --sizes 2,2,2 --colors 2", 0,
+     "spec: f(2,2,2;2)\nlength: 12\navoids: false\n"
+     "witness: {1,2},{3,4},{5,6}\n"),
+    ("verify --string 0^12 --sizes 2,2,2 --colors 2 --json", 0,
+     _doc("verify",
+          {"avoids": False, "length": 12,
+           "witness": {"colors": [0, 0, 0], "diams": [1, 1, 1],
+                       "sets": [[1, 2], [3, 4], [5, 6]]}},
+          _spec(2, 2, 2))),
+    ("witness --string 0^12 --sizes 2,2,2 --colors 2", 0,
+     "{1,2},{3,4},{5,6}\ncolors: 0,0,0\ndiameters: 1,1,1\n"),
+    ("witness --string 10101101110 --sizes 2,2,2 --colors 2 --json", 0,
+     _doc("witness", {"witness": None}, _spec(2, 2, 2))),
+    ("check-lemma --which 2.1 --m 3 --string 1101001", 0,
+     "B1 = {2,4,7} (color 1, beta=0, alpha=1)\n"
+     "case (i), mask i, mu=0, nu=0\nPASS\n"),
+    ("check-lemma --which 2.1 --m 3 --string 1101001 --json", 0,
+     _doc("check-lemma",
+          {"which": "2.1", "big_set": [2, 4, 7], "color": 1, "beta": 0,
+           "alpha": 1, "case": "i", "mask": ["i"], "mu": 0, "nu": 0,
+           "substrings": [
+               {"name": "H0", "digits": "01", "span": [3, 4]},
+               {"name": "H1", "digits": "0", "span": [6, 6]},
+           ]})),
+    ("check-lemma --which 2.1 --m 2 --string 0011", 0,
+     "no big set; lemma 2.1 is vacuous here\nPASS\n"),
+    ("check-lemma --which 2.2 --m 3 --string 1101001", 0,
+     "branch: big_set\na1 = {1,2,4}\na2 = {1,2,4}\na3 = {1,2,4}\nPASS\n"),
+    ("check-lemma --which 2.2 --m 2 --string 0011 --json", 0,
+     _doc("check-lemma",
+          {"which": "2.2", "branch": "no_big_set", "d1": [1, 2],
+           "d2": [3, 4], "a1": None, "a2": None, "a3": None})),
+    ("check-lemma --which 2.2 --m 2 --exhaustive", 0,
+     "lemma 2.2, m = 2: all 16 colorings of [1,4]\n"
+     "  cases: no_b1=2 (i)=2 (ii)=8 (iii)=4\n"
+     "  branches: no_big_set=2 big_set=14, ties=0\n"
+     "PASS: zero violations\n"),
+    ("table --family mm2 --m-max 3", 0,
+     "   m  formula  computed  status\n"
+     "   2        7         7  ok\n"
+     "   3       12        12  ok\n"),
+    ("table --family mmm2 --m-max 3 --json", 0,
+     _doc("table",
+          {"family": "mmm2",
+           "rows": [
+               {"m": 2, "formula": 12, "computed": 12, "status": "ok"},
+               {"m": 3, "formula": 20, "computed": 20, "status": "ok"},
+           ]})),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected", GOLDEN, ids=[argv for argv, _, _ in GOLDEN]
+)
+def test_golden_output(capsys, argv: str, code: int, expected: str) -> None:
+    got_code, out, err = run(capsys, *argv.split())
+    assert (got_code, _masked(out), err) == (code, expected, "")
 
 
 # ======================================================================
@@ -237,6 +341,23 @@ def test_exit_1_on_lemma_violation(capsys, monkeypatch) -> None:
     )
     assert code == 1
     assert "LEMMA VIOLATION" in err
+
+
+def test_module_runs_as_a_process() -> None:
+    """`python -m diam_ramsey.cli` exits with main()'s code."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DIAM_RAMSEY_WORKERS", None)
+    for argv, code in (
+        (["construct", "--m", "2"], 0),
+        (["compute", "--sizes", "2,2", "--colors", "4", "--cap", "10"], 3),
+        (["bogus"], 2),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diam_ramsey.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
 
 
 def test_version_flag(capsys) -> None:

@@ -209,7 +209,6 @@ def test_lemma22_violation_is_loud(monkeypatch) -> None:
     monkeypatch.setattr(lemmas_mod, "_min_diam_mset", lambda *a: None)
     with pytest.raises(LemmaViolationError):
         check_lemma22(parse_run_string("1111", 2), 2)
-    monkeypatch.setattr(lemmas_mod, "_constant_runs", lambda *a: [])
     with pytest.raises(LemmaViolationError):
         check_lemma22(parse_run_string("0011", 2), 2)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -95,31 +96,40 @@ def test_one_certificate_is_lexicographic_minimum() -> None:
     assert one.certificates[0].digits == min(c.digits for c in all_.certificates)
 
 
+def _is_representative(digits: tuple[int, ...]) -> bool:
+    """Each new color is the least one not used before it."""
+    used = 0
+    for x in digits:
+        if x > used:
+            return False
+        used = max(used, x + 1)
+    return True
+
+
 def test_all_certificates_match_enumeration() -> None:
-    """All maximal avoiding colorings, cross-checked against the oracle."""
-    spec = ProblemSpec((2, 2), 2)
-    r = compute_f(
-        spec, SearchConfig(mode="all_certificates", symmetry_reduction=False)
-    )
-    n = r.f_value - 1
-    ref = []
-    for bits in range(1 << n):
-        c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
-        if brute_force_exists(c, spec) is None:
-            ref.append(c.digits)
-    assert sorted(c.digits for c in r.certificates) == sorted(ref)
+    """All maximal avoiding representatives, cross-checked against the oracle."""
+    for r in (2, 3):
+        spec = ProblemSpec((2, 2), r)
+        res = compute_f(spec, SearchConfig(mode="all_certificates"))
+        ref = [
+            digits
+            for digits in itertools.product(range(r), repeat=res.f_value - 1)
+            if _is_representative(digits)
+            and brute_force_exists(Coloring(digits, r), spec) is None
+        ]
+        assert [c.digits for c in res.certificates] == ref, r
 
 
 def test_symmetry_reduction_halves_two_color_certificates() -> None:
     spec = ProblemSpec((2, 2), 2)
-    full = compute_f(
-        spec, SearchConfig(mode="all_certificates", symmetry_reduction=False)
-    )
-    reduced = compute_f(spec, SearchConfig(mode="all_certificates"))
-    assert full.f_value == reduced.f_value
-    # every reduced certificate opens with color 0 and each orbit has size 2
-    assert all(c.digits[0] == 0 for c in reduced.certificates)
-    assert len(full.certificates) == 2 * len(reduced.certificates)
+    certs = compute_f(spec, SearchConfig(mode="all_certificates")).certificates
+    n = certs[0].length
+    full = enumerate_avoiding(spec, n)
+    reduced = enumerate_avoiding(spec, n, symmetry_reduction=True)
+    assert [c for c, _ in reduced] == list(certs)
+    # every representative opens with color 0 and each orbit has size 2
+    assert all(c.digits[0] == 0 and size == 2 for c, size in reduced)
+    assert len(full) == 2 * len(reduced)
 
 
 def test_inconclusive_at_cap() -> None:
