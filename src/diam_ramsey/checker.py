@@ -43,7 +43,6 @@ __all__ = [
     "exists_solution",
     "brute_force_exists",
     "IncrementalState",
-    "DEFAULT_ORACLE_CAP",
 ]
 
 # Forward DP sentinel: "no set of this stage ends at or before here".

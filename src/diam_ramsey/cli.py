@@ -26,7 +26,7 @@ import sys
 
 from . import __version__
 from .checker import ProblemSpec, Witness, exists_solution
-from .coloring import format_run_string, parse_run_string
+from .coloring import _require_codec, format_run_string, parse_run_string
 from .constructions import lower_bound_coloring, verify_avoiding
 from .errors import (
     DiamRamseyError,
@@ -103,6 +103,8 @@ def _cmd_compute(args: argparse.Namespace) -> _Outcome:
         "one": "one_certificate",
         "all": "all_certificates",
     }[args.certificates]
+    if mode != "value_only":
+        _require_codec(spec.num_colors)  # fail before the search, not after
     config = SearchConfig(
         n_cap=args.cap, mode=mode, worker_count=_resolve_workers(args.workers)
     )
@@ -241,7 +243,8 @@ def _cmd_table(args: argparse.Namespace) -> _Outcome:
         except SearchBudgetError:
             computed, status = None, "skipped (budget)"
         else:
-            computed = result.n_cap if result.inconclusive else result.f_value
+            # n_cap is the closed form, so reaching it raises, not returns.
+            computed = result.f_value
             status = "ok" if computed == predicted else "MISMATCH"
         rows.append({"m": m, "formula": predicted, "computed": computed,
                      "status": status})

@@ -269,17 +269,22 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
     return Coloring(digits, num_colors)
 
 
+def _require_codec(num_colors: int) -> None:
+    """Raise ValueError unless format_run_string can write this many colors."""
+    if num_colors > MAX_CODEC_COLORS:
+        raise ValueError(
+            f"codec supports at most {MAX_CODEC_COLORS} colors, "
+            f"got {num_colors}"
+        )
+
+
 def format_run_string(c: Coloring) -> str:
     """Canonical run-length form: maximal runs, ^k only for k >= 2.
 
     Runs of 10 or more use the braced exponent ("1^{13}") so the output
     re-parses identically with or without an explicit color count.
     """
-    if c.num_colors > MAX_CODEC_COLORS:
-        raise ValueError(
-            f"codec supports at most {MAX_CODEC_COLORS} colors, "
-            f"got {c.num_colors}"
-        )
+    _require_codec(c.num_colors)
     parts: list[str] = []
     digits = c.digits
     i, n = 0, len(digits)

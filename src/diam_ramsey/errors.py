@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 Everything inherits from DiamRamseyError so callers can catch the whole
-family at once; the CLI maps these to exit code 2 (usage/input problems)
-or propagates them as hard failures.
+family at once. The CLI exits 1 on FormulaContradictedError and
+LemmaViolationError and 2 on every other error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,22 @@ __all__ = [
 
 
 class DiamRamseyError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    The message is args[0] and each keyword field becomes an attribute, so
+    the default exception pickling rebuilds an error that crosses from a
+    pool worker with every field. str() fills the class's _template from
+    the message and the fields.
+    """
+
+    _template = "{message}"
+
+    def __init__(self, message: str, **fields: object) -> None:
+        super().__init__(message)
+        self.__dict__.update(fields)
+
+    def __str__(self) -> str:
+        return self._template.format(message=self.args[0], **self.__dict__)
 
 
 class ColoringParseError(DiamRamseyError):
@@ -30,14 +45,7 @@ class ColoringParseError(DiamRamseyError):
         offset: 0-based character offset of the fragment in the input.
     """
 
-    def __init__(self, message: str, token: str, offset: int) -> None:
-        super().__init__(f"{message} (token {token!r} at offset {offset})")
-        self.raw_message = message
-        self.token = token
-        self.offset = offset
-
-    def __reduce__(self):
-        return (self.__class__, (self.raw_message, self.token, self.offset))
+    _template = "{message} (token {token!r} at offset {offset})"
 
 
 class FlaggedStateError(DiamRamseyError):
@@ -55,13 +63,6 @@ class SearchBudgetError(DiamRamseyError):
         stats: partial SearchStats collected before the abort.
     """
 
-    def __init__(self, message: str, stats: object) -> None:
-        super().__init__(message)
-        self.stats = stats
-
-    def __reduce__(self):
-        return (self.__class__, (self.args[0], self.stats))
-
 
 class FormulaContradictedError(DiamRamseyError):
     """Search found an avoiding coloring that contradicts a closed form.
@@ -74,28 +75,16 @@ class FormulaContradictedError(DiamRamseyError):
         expected: the closed-form value that was contradicted.
     """
 
-    def __init__(self, message: str, coloring: object, expected: int) -> None:
-        super().__init__(message)
-        self.coloring = coloring
-        self.expected = expected
-
-    def __reduce__(self):
-        return (self.__class__, (self.args[0], self.coloring, self.expected))
-
 
 class LemmaViolationError(DiamRamseyError):
     """A structural invariant that should hold unconditionally failed.
 
-    Carries the coloring and a description of the failed clause; raised by
-    the structure validator when a coloring that satisfies a lemma's
-    hypotheses violates its conclusion.
+    Raised by the structure validator when a coloring that satisfies a
+    lemma's hypotheses violates its conclusion.
+
+    Attributes:
+        coloring: the violating Coloring.
+        clause: which clause of which lemma failed.
     """
 
-    def __init__(self, message: str, coloring: object, clause: str) -> None:
-        super().__init__(f"LEMMA VIOLATION: {message} [clause: {clause}]")
-        self.raw_message = message
-        self.coloring = coloring
-        self.clause = clause
-
-    def __reduce__(self):
-        return (self.__class__, (self.raw_message, self.coloring, self.clause))
+    _template = "LEMMA VIOLATION: {message} [clause: {clause}]"

@@ -155,14 +155,11 @@ def _match_case_i(
         pairs = [(nu, mu) for nu in range(m - beta) for mu in range(m - alpha)]
     else:
         pairs = [(0, 0)]
+    # nu < m-beta, mu < m-alpha and beta <= m-2 keep all three lengths >= 0.
     for nu, mu in pairs:
         pre = m - 1 - beta - nu
-        if pre < 0:
-            continue
         h0_len = m - 1 + beta - mu
         h1_len = m - 2 - beta + mu
-        if h0_len < 0 or h1_len < 0:
-            continue
         assert pre + h0_len + 1 + h1_len + 1 + nu == r_len
         if any(x != 1 for x in s[:pre]):
             continue

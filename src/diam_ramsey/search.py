@@ -203,7 +203,7 @@ def _search_from(
         nonlocal best, nodes, dealt
         if depth >= n_cap:
             return
-        cmax = min(r - 1, used) if symmetry else r - 1
+        cmax = min(r - 1, used)
         d = depth + 1
         mine = lead or d > split
         for x in range(cmax + 1):
@@ -234,12 +234,13 @@ def _search_from(
                         if len(certs) == limit and d == n_cap:
                             raise _Stop
                 if keep or d < split:
-                    dfs(d, max(used, x + 1) if symmetry else used)
+                    dfs(d, max(used, x + 1))
                 digits.pop()
             retract()
 
     with suppress(_Stop):
-        dfs(0, 0)
+        # used = r opens every color at every depth: the unreduced tree.
+        dfs(0, 0 if symmetry else r)
     return best, certs, nodes
 
 

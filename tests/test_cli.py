@@ -304,6 +304,31 @@ def test_exit_2_on_usage_errors(capsys) -> None:
                "--m", "3", "--string", "0101")[0] == 2          # wrong length
 
 
+def test_exit_2_on_uncodable_certificates_before_search(
+    capsys, monkeypatch
+) -> None:
+    """Certificates over more than 10 colors cannot be written, so compute
+    refuses before it searches."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("compute_f must not run")
+
+    monkeypatch.setattr(cli_mod, "compute_f", no_search)
+    code, out, err = run(
+        capsys, "compute", "--sizes", "2,2", "--colors", "11", "--cap", "4",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: codec supports at most 10 colors, got 11\n"
+
+
+def test_value_only_runs_past_the_codec_limit(capsys) -> None:
+    code, out, _ = run(
+        capsys, "compute", "--sizes", "2,2", "--colors", "11", "--cap", "4",
+        "--certificates", "none",
+    )
+    assert code == 3
+    assert out.startswith("f(2,2;11) > 4 (cap reached; inconclusive)\n")
+
+
 def test_exit_2_on_bad_env(capsys, monkeypatch) -> None:
     monkeypatch.setenv("DIAM_RAMSEY_WORKERS", "many")
     code, _, err = run(capsys, "compute", "--sizes", "2,2", "--colors", "2")

@@ -1,0 +1,160 @@
+"""The package's public names and its errors, pinned by value.
+
+The package namespace is built from the modules' own __all__ lists, and
+the errors cross process boundaries by pickling when a search or sweep
+runs on more than one worker. These tests fix both: the exact public
+names, and for each error its message, its fields and its pickle round
+trip.
+"""
+
+from __future__ import annotations
+
+import pickle
+from collections import Counter
+
+import pytest
+
+import diam_ramsey
+from diam_ramsey import (
+    Coloring,
+    ColoringParseError,
+    FlaggedStateError,
+    FormulaContradictedError,
+    LemmaViolationError,
+    OracleCapError,
+    SearchBudgetError,
+    SearchStats,
+    checker,
+    coloring,
+    constructions,
+    errors,
+    lemmas,
+    search,
+)
+
+_PUBLIC = [
+    "Coloring",
+    "ColoringParseError",
+    "DiamRamseyError",
+    "ExtremalB1",
+    "FlaggedStateError",
+    "FormulaContradictedError",
+    "IncrementalState",
+    "IntSet",
+    "Lemma21Case",
+    "Lemma22Finding",
+    "LemmaSweepReport",
+    "LemmaViolationError",
+    "OracleCapError",
+    "ProblemSpec",
+    "SearchBudgetError",
+    "SearchConfig",
+    "SearchResult",
+    "SearchStats",
+    "VerificationReport",
+    "Witness",
+    "__version__",
+    "brute_force_exists",
+    "check_lemma22",
+    "classify_lemma21",
+    "compute_f",
+    "enumerate_avoiding",
+    "exists_solution",
+    "find_extremal_b1",
+    "format_run_string",
+    "formula_f_mmm2",
+    "known_value",
+    "lower_bound_coloring",
+    "lower_bound_runs",
+    "parse_run_string",
+    "sweep_lemmas",
+    "validate_witness",
+    "verify_avoiding",
+]
+
+
+def test_public_names_are_pinned() -> None:
+    assert sorted(diam_ramsey.__all__) == _PUBLIC
+    for name in _PUBLIC:
+        assert getattr(diam_ramsey, name) is not None
+
+
+def test_no_name_is_exported_by_two_modules() -> None:
+    """A star re-export would let the later module shadow the earlier."""
+    counts = Counter(
+        name
+        for mod in (coloring, checker, search, constructions, lemmas, errors)
+        for name in mod.__all__
+    )
+    assert [name for name, k in counts.items() if k > 1] == []
+
+
+_LEMMA_COLORING = Coloring([0, 0, 1, 1], 2)
+_ERRORS = [
+    (
+        ColoringParseError("expected a color digit", token="a", offset=2),
+        "expected a color digit (token 'a' at offset 2)",
+        {"token": "a", "offset": 2},
+    ),
+    (
+        FlaggedStateError(
+            "state already contains a solution; retract before extending"
+        ),
+        "state already contains a solution; retract before extending",
+        {},
+    ),
+    (
+        OracleCapError("oracle capped at N <= 24, got N = 30"),
+        "oracle capped at N <= 24, got N = 30",
+        {},
+    ),
+    (
+        SearchBudgetError(
+            "node budget 10 exhausted for f(3,3,3;2) "
+            "(deepest avoiding length so far: 7)",
+            stats=SearchStats(
+                nodes_expanded=11, max_depth=7, wall_time=0.25, worker_count=2
+            ),
+        ),
+        "node budget 10 exhausted for f(3,3,3;2) "
+        "(deepest avoiding length so far: 7)",
+        {"stats": SearchStats(11, 7, 0.25, 2)},
+    ),
+    (
+        FormulaContradictedError(
+            "avoiding coloring of length 5 found, but f(2,2;2) = 5 was "
+            "expected: FORMULA CONTRADICTED",
+            coloring=Coloring([0, 1, 1, 0, 0], 2),
+            expected=5,
+        ),
+        "avoiding coloring of length 5 found, but f(2,2;2) = 5 was "
+        "expected: FORMULA CONTRADICTED",
+        {"coloring": Coloring([0, 1, 1, 0, 0], 2), "expected": 5},
+    ),
+    (
+        LemmaViolationError(
+            "no structural case matches 0^21^2 (m=2, beta=0, alpha=0)",
+            coloring=_LEMMA_COLORING,
+            clause="lemma 2.1: disjunction (i)/(ii)/(iii)",
+        ),
+        "LEMMA VIOLATION: no structural case matches 0^21^2 "
+        "(m=2, beta=0, alpha=0) [clause: lemma 2.1: disjunction (i)/(ii)/(iii)]",
+        {"coloring": _LEMMA_COLORING,
+         "clause": "lemma 2.1: disjunction (i)/(ii)/(iii)"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "error, text, fields", _ERRORS, ids=[type(e).__name__ for e, _, _ in _ERRORS]
+)
+def test_error_text_fields_and_pickle(error, text, fields) -> None:
+    assert isinstance(error, diam_ramsey.DiamRamseyError)
+    assert str(error) == text
+    for name, value in fields.items():
+        assert getattr(error, name) == value
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == text
+    for name, value in fields.items():
+        assert getattr(copy, name) == value
