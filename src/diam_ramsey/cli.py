@@ -224,6 +224,8 @@ def _cmd_check_lemma(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_table(args: argparse.Namespace) -> _Outcome:
+    if args.m_max < 2:
+        raise ValueError(f"--m-max must be >= 2, got {args.m_max}")
     t, r = _FAMILIES[args.family]
     workers = _resolve_workers(args.workers)
     rows = []

@@ -14,6 +14,7 @@ exponents.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .errors import ColoringParseError
@@ -172,12 +173,18 @@ class IntSet:
 # run-length string codec
 # ======================================================================
 
+def _parse_error(s: str, start: int, end: int, message: str) -> ColoringParseError:
+    """The error naming s[start:end] as its token, at offset start."""
+    return ColoringParseError(message, token=s[start:end], offset=start)
+
+
 def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
     """Parse run-length notation like "0^210^3" into a Coloring.
 
-    Tokens are a color digit with an optional exponent; whitespace between
-    tokens is ignored. The flat notation is ambiguous where an exponent
-    runs into the next color digit, so two exponent forms exist:
+    A token is one run: a color digit with an optional exponent ("1",
+    "0^2", "0^{21}"); whitespace between tokens is ignored. The flat
+    notation is ambiguous where an exponent runs into the next color
+    digit, so two exponent forms exist:
 
     * braced: ^{k} with k >= 1, always unambiguous ("0^{21}");
     * bare: ^ then one digit, extended greedily only by digits that
@@ -192,13 +199,14 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
     Raises:
         ColoringParseError: on a malformed token, a zero exponent, a digit
             outside 0..num_colors-1, or an empty string; the error carries
-            the offending token and its character offset.
+            the offending slice of s as its token (in a bad run, the run
+            read so far or the one character that cannot start it) and the
+            offset where that slice starts.
     """
     if num_colors is not None and not 2 <= num_colors <= MAX_CODEC_COLORS:
-        raise ColoringParseError(
+        raise _parse_error(
+            s, 0, 8,
             f"codec supports 2..{MAX_CODEC_COLORS} colors, got {num_colors}",
-            token=s[:8],
-            offset=0,
         )
     digits: list[int] = []
     i, n = 0, len(s)
@@ -208,7 +216,7 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
             i += 1
             continue
         if not ch.isdigit():
-            raise ColoringParseError("expected a color digit", token=ch, offset=i)
+            raise _parse_error(s, i, i + 1, "expected a color digit")
         color = int(ch)
         start = i
         i += 1
@@ -218,27 +226,17 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
             if i < n and s[i] == "{":
                 j = s.find("}", i + 1)
                 if j < 0:
-                    raise ColoringParseError(
-                        "unclosed '{' in exponent",
-                        token=s[start : start + 4],
-                        offset=start,
-                    )
+                    raise _parse_error(s, start, start + 4, "unclosed '{' in exponent")
                 body = s[i + 1 : j]
                 if not body.isdigit():
-                    raise ColoringParseError(
-                        "braced exponent must be digits",
-                        token=s[start : j + 1],
-                        offset=start,
+                    raise _parse_error(
+                        s, start, j + 1, "braced exponent must be digits"
                     )
                 count = int(body)
                 i = j + 1
             else:
                 if i == n or not s[i].isdigit():
-                    raise ColoringParseError(
-                        "exponent missing after '^'",
-                        token=s[start:i],
-                        offset=start,
-                    )
+                    raise _parse_error(s, start, i, "exponent missing after '^'")
                 j = i + 1
                 while (
                     num_colors is not None
@@ -250,20 +248,15 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
                 count = int(s[i:j])
                 i = j
             if count == 0:
-                raise ColoringParseError(
-                    "run length must be at least 1",
-                    token=s[start:i],
-                    offset=start,
-                )
+                raise _parse_error(s, start, i, "run length must be at least 1")
         if num_colors is not None and color >= num_colors:
-            raise ColoringParseError(
+            raise _parse_error(
+                s, start, i,
                 f"color digit {color} out of range 0..{num_colors - 1}",
-                token=s[start:i],
-                offset=start,
             )
         digits.extend([color] * count)
     if not digits:
-        raise ColoringParseError("empty coloring string", token=s, offset=0)
+        raise _parse_error(s, 0, n, "empty coloring string")
     if num_colors is None:
         num_colors = max(2, max(digits) + 1)
     return Coloring(digits, num_colors)
@@ -286,18 +279,12 @@ def format_run_string(c: Coloring) -> str:
     """
     _require_codec(c.num_colors)
     parts: list[str] = []
-    digits = c.digits
-    i, n = 0, len(digits)
-    while i < n:
-        j = i
-        while j < n and digits[j] == digits[i]:
-            j += 1
-        run = j - i
-        if run == 1:
-            parts.append(str(digits[i]))
-        elif run <= 9:
-            parts.append(f"{digits[i]}^{run}")
+    for color, run in groupby(c.digits):
+        k = len(list(run))
+        if k == 1:
+            parts.append(str(color))
+        elif k <= 9:
+            parts.append(f"{color}^{k}")
         else:
-            parts.append(f"{digits[i]}^{{{run}}}")
-        i = j
+            parts.append(f"{color}^{{{k}}}")
     return "".join(parts)

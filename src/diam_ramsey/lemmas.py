@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import islice, product
 
 from .checker import _least_set, _members
 from .coloring import Coloring, IntSet, format_run_string
@@ -365,12 +366,10 @@ class LemmaSweepReport:
 
 
 def _sweep_range(args: tuple[int, int, int]) -> Counter:
-    """Case tags and branches counted over colorings part, part + parts, ... ."""
+    """Tags and branches of the lex-ordered colorings part, part + parts, ... ."""
     m, part, parts = args
-    n = 3 * m - 2
     tally: Counter = Counter()
-    for bits in range(part, 1 << n, parts):
-        digits = [(bits >> x) & 1 for x in range(n)]
+    for digits in islice(product((0, 1), repeat=3 * m - 2), part, None, parts):
         finding = check_lemma22(Coloring(digits, 2), m)
         case = finding.case
         tally["no_b1" if case is None else case.case_tag] += 1

@@ -8,7 +8,8 @@ length reached together with the avoiding colorings at that length.
 
 compute_f explores one representative per color-permutation orbit: a
 prefix may introduce a new color only as the smallest color index not yet
-used (enumerate_avoiding can also walk the unreduced tree). Every run is
+used. enumerate_avoiding walks the unreduced tree and has no orbit option;
+the representatives at a length come from compute_f. Every run is
 cut into n = min(workers, usable CPUs) parts, one process each (no process
 at all when n is 1). Each part walks the shallow levels itself and deals
 the avoiding prefixes at a fixed depth round-robin in DFS order, keeping
@@ -19,7 +20,6 @@ worker count. stats.worker_count still reports the requested count.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from contextlib import contextmanager, suppress
@@ -188,7 +188,8 @@ def _search_from(
     length >= guard appears.
     """
     state = IncrementalState(spec)
-    extend, retract = state.extend, state.retract
+    # The state holds the prefix: extend appends x, retract drops it.
+    extend, retract, digits = state.extend, state.retract, state._digits
     r = spec.num_colors
     cap = _CERT_CAP[mode]
     split = _SPLIT_DEPTH
@@ -197,7 +198,6 @@ def _search_from(
     certs: list[tuple[int, ...]] = []
     nodes = 0
     dealt = 0
-    digits: list[int] = []
 
     def dfs(depth: int, used: int) -> None:
         nonlocal best, nodes, dealt
@@ -212,7 +212,6 @@ def _search_from(
                 if max_nodes is not None and nodes > max_nodes:
                     raise _Stop
             if not extend(x):
-                digits.append(x)
                 if guard is not None and d >= guard:
                     raise FormulaContradictedError(
                         f"avoiding coloring of length {d} found, but "
@@ -235,7 +234,6 @@ def _search_from(
                             raise _Stop
                 if keep or d < split:
                     dfs(d, max(used, x + 1))
-                digits.pop()
             retract()
 
     with suppress(_Stop):
@@ -351,28 +349,19 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
 
 
 def enumerate_avoiding(
-    spec: ProblemSpec,
-    length: int,
-    limit: int | None = None,
-    symmetry_reduction: bool = False,
-) -> list[Coloring] | list[tuple[Coloring, int]]:
+    spec: ProblemSpec, length: int, limit: int | None = None
+) -> list[Coloring]:
     """Avoiding colorings of exactly the given length, lexicographically.
 
     Returns at most `limit` colorings (all of them when limit is None).
-    With symmetry_reduction the list holds one representative per
-    color-permutation orbit paired with its orbit size r!/(r-u)! where u
-    is the number of distinct colors the representative uses.
+    When any exist, compute_f with n_cap=length and mode "all_certificates"
+    returns one representative per color-permutation orbit of them.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    r = spec.num_colors
     best, found, _nodes = _search_from(
-        spec, length, "all_certificates", symmetry_reduction, None, None, 0, 1,
-        limit,
+        spec, length, "all_certificates", False, None, None, 0, 1, limit
     )
-    found = found if best == length else []
-    if not symmetry_reduction:
-        return [Coloring(t, r) for t in found]
-    return [(Coloring(t, r), math.perm(r, len(set(t)))) for t in found]
+    return [Coloring(t, spec.num_colors) for t in found] if best == length else []

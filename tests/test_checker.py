@@ -144,8 +144,9 @@ def test_exists_trivial_cases() -> None:
 
 
 def test_exists_requires_matching_palette() -> None:
-    with pytest.raises(ValueError):
-        exists_solution(Coloring([0, 1], 2), ProblemSpec((2, 2), 3))
+    for check in (exists_solution, brute_force_exists):
+        with pytest.raises(ValueError, match="2 colors, spec wants 3"):
+            check(Coloring([0, 1], 2), ProblemSpec((2, 2), 3))
 
 
 def test_exists_vs_brute_exhaustive_small() -> None:

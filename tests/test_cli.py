@@ -304,6 +304,43 @@ def test_exit_2_on_usage_errors(capsys) -> None:
                "--m", "3", "--string", "0101")[0] == 2          # wrong length
 
 
+def test_exit_2_on_bad_sizes(capsys) -> None:
+    code, out, err = run(capsys, "compute", "--sizes", "2,x", "--colors", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --sizes: expected comma-separated integers, "
+        "got '2,x'\n"
+    )
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_exit_2_on_table_without_rows(capsys, flag: list[str]) -> None:
+    for m_max in ("1", "-3"):
+        code, out, err = run(
+            capsys, "table", "--family", "mm2", "--m-max", m_max, *flag
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --m-max must be >= 2, got {m_max}\n"
+
+
+def test_table_row_over_budget_is_skipped(capsys, monkeypatch) -> None:
+    # f(2,2;2) takes 45 nodes and f(3,3;2) 647: only the second row is cut
+    monkeypatch.setattr(cli_mod, "_TABLE_NODE_BUDGET", 100)
+    code, out, err = run(capsys, "table", "--family", "mm2", "--m-max", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "   2        7         7  ok",
+        "   3       12         -  skipped (budget)",
+    ]
+    code, doc = run_json(
+        capsys, "table", "--family", "mm2", "--m-max", "3", "--json"
+    )
+    assert code == 0
+    assert doc["result"]["rows"][1] == {
+        "m": 3, "formula": 12, "computed": None, "status": "skipped (budget)",
+    }
+
+
 def test_exit_2_on_uncodable_certificates_before_search(
     capsys, monkeypatch
 ) -> None:

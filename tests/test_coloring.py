@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diam_ramsey import (
     Coloring,
@@ -68,6 +70,10 @@ def test_coloring_equality_and_hash() -> None:
 
 def test_coloring_repr_uses_run_string() -> None:
     assert "0^210^3" in repr(parse_run_string("0^210^3", 2))
+    # past the codec's 10 colors the digits are shown as a tuple
+    assert repr(Coloring([0, 10, 3], 11)) == (
+        "Coloring((0, 10, 3), num_colors=11)"
+    )
 
 
 # ======================================================================
@@ -117,29 +123,47 @@ def test_parse_whitespace_and_inference() -> None:
     assert parse_run_string("012").num_colors == 3
 
 
-def test_parse_errors_carry_token_and_offset() -> None:
-    with pytest.raises(ColoringParseError) as exc:
-        parse_run_string("0^0", 2)
-    assert exc.value.token == "0^0"
-    assert exc.value.offset == 0
+# (input, palette, message, token, offset): every error kind the parser has
+PARSE_ERRORS = [
+    ("01x", 2, "expected a color digit", "x", 2),
+    ("0^", 2, "exponent missing after '^'", "0^", 0),
+    ("0^x", 2, "exponent missing after '^'", "0^", 0),
+    ("0^{", 2, "unclosed '{' in exponent", "0^{", 0),
+    ("0^{}", 2, "braced exponent must be digits", "0^{}", 0),
+    ("0^{a}", 2, "braced exponent must be digits", "0^{a}", 0),
+    ("0^0", 2, "run length must be at least 1", "0^0", 0),
+    ("0^{0}", 2, "run length must be at least 1", "0^{0}", 0),
+    ("3", 2, "color digit 3 out of range 0..1", "3", 0),
+    ("", 2, "empty coloring string", "", 0),
+    ("01", 12, "codec supports 2..10 colors, got 12", "01", 0),
+]
 
-    with pytest.raises(ColoringParseError) as exc:
-        parse_run_string("01x", 2)
-    assert exc.value.token == "x"
-    assert exc.value.offset == 2
 
-    with pytest.raises(ColoringParseError):
-        parse_run_string("", 2)
-    with pytest.raises(ColoringParseError):
-        parse_run_string("0^", 2)
-    with pytest.raises(ColoringParseError):
-        parse_run_string("0^{", 2)
-    with pytest.raises(ColoringParseError):
-        parse_run_string("0^{}", 2)
-    with pytest.raises(ColoringParseError):
-        parse_run_string("3", 2)  # digit out of declared range
-    with pytest.raises(ColoringParseError):
-        parse_run_string("01", 12)  # codec palette cap
+@pytest.mark.parametrize(
+    "s,num_colors,message,token,offset",
+    PARSE_ERRORS,
+    ids=[f"{s or 'empty'}-{r}" for s, r, *_ in PARSE_ERRORS],
+)
+def test_parse_errors_carry_token_and_offset(
+    s: str, num_colors: int, message: str, token: str, offset: int
+) -> None:
+    with pytest.raises(ColoringParseError) as exc:
+        parse_run_string(s, num_colors)
+    err = exc.value
+    assert (err.args, err.token, err.offset) == ((message,), token, offset)
+    assert str(err) == f"{message} (token {token!r} at offset {offset})"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    st.text(alphabet="0123456789^{} x", max_size=12),
+    st.sampled_from([None, *range(1, 13)]),
+)
+def test_parse_error_token_sits_at_its_offset(s: str, num_colors) -> None:
+    try:
+        parse_run_string(s, num_colors)
+    except ColoringParseError as err:
+        assert s[err.offset : err.offset + len(err.token)] == err.token
 
 
 def test_format_maximal_runs() -> None:

@@ -123,13 +123,15 @@ def test_all_certificates_match_enumeration() -> None:
 def test_symmetry_reduction_halves_two_color_certificates() -> None:
     spec = ProblemSpec((2, 2), 2)
     certs = compute_f(spec, SearchConfig(mode="all_certificates")).certificates
-    n = certs[0].length
-    full = enumerate_avoiding(spec, n)
-    reduced = enumerate_avoiding(spec, n, symmetry_reduction=True)
-    assert [c for c, _ in reduced] == list(certs)
-    # every representative opens with color 0 and each orbit has size 2
-    assert all(c.digits[0] == 0 and size == 2 for c, size in reduced)
-    assert len(full) == 2 * len(reduced)
+    full = enumerate_avoiding(spec, certs[0].length)
+    # every representative opens with color 0 and uses both colors, so
+    # each orbit has size 2 and holds the representative and its swap
+    for c in certs:
+        assert c.digits[0] == 0
+        assert math.perm(2, len(set(c.digits))) == 2
+    assert len(full) == 2 * len(certs)
+    swapped = {tuple(1 - x for x in c.digits) for c in certs}
+    assert {c.digits for c in full} == {c.digits for c in certs} | swapped
 
 
 def test_inconclusive_at_cap() -> None:
@@ -373,15 +375,26 @@ def test_enumerate_avoiding_limit_stops_early(monkeypatch) -> None:
 
 
 def test_enumerate_avoiding_orbits() -> None:
+    """compute_f's representatives at a length stand for the orbits of the
+    plain enumeration: orbit sizes r!/(r-u)! sum back to the plain count."""
+    for r, length in ((2, 6), (3, 4), (3, 10)):
+        spec = ProblemSpec((2, 2), r)
+        plain = enumerate_avoiding(spec, length)
+        config = SearchConfig(n_cap=length, mode="all_certificates")
+        reps = compute_f(spec, config).certificates
+        assert reps and all(rep.length == length for rep in reps)
+        assert all(rep.digits[0] == 0 for rep in reps)
+        assert list(reps) == [c for c in plain if _is_representative(c.digits)]
+        orbits = [math.perm(r, len(set(rep.digits))) for rep in reps]
+        assert sum(orbits) == len(plain), (r, length)
+
+
+def test_enumerate_avoiding_validation() -> None:
     spec = ProblemSpec((2, 2), 2)
-    plain = enumerate_avoiding(spec, 6)
-    reduced = enumerate_avoiding(spec, 6, symmetry_reduction=True)
-    # orbit sizes are r!/(r-u)! and sum back to the plain count
-    assert sum(size for _, size in reduced) == len(plain)
-    for rep, size in reduced:
-        used = len(set(rep.digits))
-        assert size == math.perm(2, used)
-        assert rep.digits[0] == 0
+    with pytest.raises(ValueError):
+        enumerate_avoiding(spec, 0)
+    with pytest.raises(ValueError):
+        enumerate_avoiding(spec, 6, limit=0)
 
 
 def test_enumerate_avoiding_empty_when_forced() -> None:
