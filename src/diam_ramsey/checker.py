@@ -156,14 +156,11 @@ def validate_witness(w: Witness, c: Coloring, spec: ProblemSpec) -> None:
 # polynomial existence check + canonical witness
 # ======================================================================
 
-def _members(L: tuple[int, ...], i: int, e: int, m: int) -> IntSet:
-    """The m-set with min i and max e: i, the next m-2 positions of L, e.
-
-    L lists the positions of one color, and both i and e must be in it
-    with at least m of its positions in [i, e].
-    """
-    a = bisect.bisect_left(L, i)
-    return IntSet(L[a : a + m - 1] + (e,))
+def _members(c: Coloring, i: int, e: int, m: int) -> IntSet:
+    """The m-set with min i and max e, which share a color with at least m
+    of its positions in [i, e]: i, the next m-2 from i's rank in c, e."""
+    a = c._rank[i]
+    return IntSet(c.positions_of(c.digits[i - 1])[a : a + m - 1] + (e,))
 
 
 def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
@@ -171,16 +168,14 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
     (no constraint). Each stage is one sweep of p from N down to 1 whose
-    pointers only move down: O(N + r).
+    pointers only move down: O(N + r). The ranks of the positions within
+    their colors come from c.
     """
     digits = c.digits
     n = len(digits)
     t = spec.t
     pos = [c.positions_of(k) for k in range(spec.num_colors)]
-    rank = [0] * (n + 1)
-    for k in range(spec.num_colors):
-        for idx, p in enumerate(pos[k]):
-            rank[p] = idx
+    rank = c._rank
 
     off = 1 if spec.strict else 0
     S = [[_NEG] * (n + 3) for _ in range(t + 2)]
@@ -232,18 +227,17 @@ def _least_set(
     With a suffix-table row `room` (S[s+1] for stage s), an end e also
     needs min >= e - room[e+1] + off, which fails for _NEG and always
     holds for _POS. Ends are scanned upward from the first that can close
-    a set; the largest usable min at an end gives its least diameter.
+    a set; the largest usable min at an end gives its least diameter. An
+    end's index among the positions of its color is its rank in c.
     """
     digits = c.digits
+    rank = c._rank
     pos = [c.positions_of(k) for k in range(c.num_colors)]
     first = lo + max(req, m - 1)
-    # seen[k]: color-k positions before e, which is e's index in pos[k].
-    seen = [bisect.bisect_left(L, first) for L in pos]
     for e in range(first, len(digits) + 1):
         k = digits[e - 1]
         L = pos[k]
-        ei = seen[k]
-        seen[k] = ei + 1
+        ei = rank[e]
         if ei + 1 < m:
             continue
         # The min leaves m color-k positions in [min, e] and fits low..hi.
@@ -292,7 +286,7 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
         found = _least_set(c, ms, lo, req, S[s + 1], off)
         assert found is not None, "suffix table promised feasibility"
         e, i, k = found
-        sets.append(_members(c.positions_of(k), i, e, ms))
+        sets.append(_members(c, i, e, ms))
         set_colors.append(k)
         lo, req = e + 1, e - i + off
     return Witness(sets=tuple(sets), colors=tuple(set_colors))
@@ -349,8 +343,8 @@ def brute_force_exists(
         return None
     return Witness(
         sets=tuple(
-            _members(pos[k], i, j, spec.sizes[stage])
-            for stage, (i, j, k) in enumerate(chain)
+            _members(c, i, j, spec.sizes[stage])
+            for stage, (i, j, _k) in enumerate(chain)
         ),
         colors=tuple(k for _i, _j, k in chain),
     )

@@ -2,8 +2,8 @@
 
 A coloring assigns one of r colors (numbered 0..r-1) to every position of
 the interval [1, N]. Colorings are immutable: searches and checkers treat
-them as values. The ascending positions of each color are built lazily
-on first use.
+them as values. Construction also indexes the coloring: the ascending
+positions of each color, and the rank of every position among them.
 
 The compact string notation writes a coloring as a sequence of runs, e.g.
 "0^210^3" for 001000: a digit names the color, an optional ^k repeats it.
@@ -37,7 +37,7 @@ class Coloring:
     the functions being computed.
     """
 
-    __slots__ = ("_digits", "_num_colors", "_positions")
+    __slots__ = ("_digits", "_num_colors", "_positions", "_rank")
 
     def __init__(self, digits: Iterable[int], num_colors: int) -> None:
         seq = tuple(digits)
@@ -45,15 +45,22 @@ class Coloring:
             raise ValueError("coloring must cover at least one position")
         if num_colors < 2:
             raise ValueError(f"need at least 2 colors, got {num_colors}")
-        for idx, color in enumerate(seq):
+        table: list[list[int]] = [[] for _ in range(num_colors)]
+        # _rank[p]: the index of p among its color's positions; 0 unused.
+        rank = [0]
+        for p, color in enumerate(seq, 1):
             if not 0 <= color < num_colors:
                 raise ValueError(
-                    f"color {color} at position {idx + 1} out of range "
+                    f"color {color} at position {p} out of range "
                     f"0..{num_colors - 1}"
                 )
+            row = table[color]
+            rank.append(len(row))
+            row.append(p)
         self._digits: tuple[int, ...] = seq
         self._num_colors = num_colors
-        self._positions: tuple[tuple[int, ...], ...] | None = None
+        self._positions = tuple(map(tuple, table))
+        self._rank = rank
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -79,11 +86,6 @@ class Coloring:
 
     def positions_of(self, color: int) -> tuple[int, ...]:
         """All positions of `color`, ascending."""
-        if self._positions is None:
-            table: list[list[int]] = [[] for _ in range(self._num_colors)]
-            for idx, c in enumerate(self._digits):
-                table[c].append(idx + 1)
-            self._positions = tuple(tuple(row) for row in table)
         return self._positions[color]
 
     def extended(self, color: int) -> "Coloring":
@@ -173,6 +175,11 @@ class IntSet:
 # run-length string codec
 # ======================================================================
 
+def _is_digits(s: str) -> bool:
+    """Whether s is nonempty and all ASCII 0-9 (str.isdigit alone takes "²")."""
+    return s.isascii() and s.isdigit()
+
+
 def _parse_error(s: str, start: int, end: int, message: str) -> ColoringParseError:
     """The error naming s[start:end] as its token, at offset start."""
     return ColoringParseError(message, token=s[start:end], offset=start)
@@ -215,7 +222,7 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
         if ch.isspace():
             i += 1
             continue
-        if not ch.isdigit():
+        if not _is_digits(ch):
             raise _parse_error(s, i, i + 1, "expected a color digit")
         color = int(ch)
         start = i
@@ -228,20 +235,20 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
                 if j < 0:
                     raise _parse_error(s, start, start + 4, "unclosed '{' in exponent")
                 body = s[i + 1 : j]
-                if not body.isdigit():
+                if not _is_digits(body):
                     raise _parse_error(
                         s, start, j + 1, "braced exponent must be digits"
                     )
                 count = int(body)
                 i = j + 1
             else:
-                if i == n or not s[i].isdigit():
+                if i == n or not _is_digits(s[i]):
                     raise _parse_error(s, start, i, "exponent missing after '^'")
                 j = i + 1
                 while (
                     num_colors is not None
                     and j < n
-                    and s[j].isdigit()
+                    and _is_digits(s[j])
                     and int(s[j]) >= num_colors
                 ):
                     j += 1

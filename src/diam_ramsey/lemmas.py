@@ -116,7 +116,7 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
         return None
     j, i, color = found
     return ExtremalB1(
-        b1=_members(c.positions_of(color), i, j, m),
+        b1=_members(c, i, j, m),
         color_c1=color,
         beta=(3 * m - 2) - j,
         alpha=(j - i) - (2 * m - 2),
@@ -127,30 +127,19 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
 # case matching (all in the frame where the big set's color reads as 1)
 # ======================================================================
 
-def _frame(c: Coloring, m: int, beta: int, k: int) -> tuple[int, ...]:
-    """Delta(R) with color k relabeled to 1, R = [1, 3m-2-beta]."""
-    return tuple(
-        1 if c.digits[x] == k else 0 for x in range(3 * m - 2 - beta)
-    )
-
-
-def _cut(
-    s: tuple[int, ...], name: str, start: int, length: int
-) -> tuple[str, str, tuple[int, int]]:
-    """The named substring of s at 1-based start, as reported in h_strings."""
-    digits = "".join(map(str, s[start - 1 : start - 1 + length]))
-    return (name, digits, (start, start + length - 1))
+def _frame(c: Coloring, m: int, beta: int, k: int) -> str:
+    """Delta(R) as a digit string with color k relabeled to 1,
+    R = [1, 3m-2-beta]."""
+    return "".join("1" if x == k else "0" for x in c.digits[: 3 * m - 2 - beta])
 
 
 _Match = tuple[int, int, tuple[tuple[str, str, tuple[int, int]], ...]]
 
 
-def _match_case_i(
-    s: tuple[int, ...], m: int, beta: int, alpha: int
-) -> _Match | None:
+def _match_case_i(s: str, m: int, beta: int, alpha: int) -> _Match | None:
     """First (nu, mu, (H0, H1)) reading s as 1^(m-1-beta-nu) H0 0 H1 1^(1+nu)."""
     r_len = len(s)
-    if beta > m - 2 or s.count(0) < m:
+    if beta > m - 2 or s.count("0") < m:
         return None
     if beta == m - 1 - alpha:
         pairs = [(nu, mu) for nu in range(m - beta) for mu in range(m - alpha)]
@@ -162,55 +151,45 @@ def _match_case_i(
         h0_len = m - 1 + beta - mu
         h1_len = m - 2 - beta + mu
         assert pre + h0_len + 1 + h1_len + 1 + nu == r_len
-        if any(x != 1 for x in s[:pre]):
-            continue
-        if s[pre + h0_len] != 0:
-            continue
-        if any(x != 1 for x in s[r_len - 1 - nu:]):
+        if not (
+            s.startswith("1" * pre)
+            and s[pre + h0_len] == "0"
+            and s.endswith("1" * (1 + nu))
+        ):
             continue
         h0 = s[pre : pre + h0_len]
-        h1 = s[pre + h0_len + 1 : pre + h0_len + 1 + h1_len]
-        if sum(h0) != m - 1 - alpha - mu or sum(h1) != mu:
+        h1 = s[pre + h0_len + 1 : r_len - 1 - nu]
+        if h0.count("1") != m - 1 - alpha - mu or h1.count("1") != mu:
             continue
         return nu, mu, (
-            _cut(s, "H0", pre + 1, h0_len),
-            _cut(s, "H1", pre + h0_len + 2, h1_len),
+            ("H0", h0, (pre + 1, pre + h0_len)),
+            ("H1", h1, (pre + h0_len + 2, r_len - 1 - nu)),
         )
     return None
 
 
-def _match_case_ii(
-    s: tuple[int, ...], m: int, beta: int, alpha: int
-) -> _Match | None:
+def _match_case_ii(s: str, m: int, beta: int, alpha: int) -> _Match | None:
     """(0, 0, (H2,)) when s reads as 0^(m-alpha-beta-1) 1 H2 1^(m-beta)."""
     if not (beta < m - 1 - alpha or beta == m - 1):
         return None
-    r_len = len(s)
     zeros = m - alpha - beta - 1
     h2_len = m - 2 + beta + alpha
-    assert zeros + 1 + h2_len + (m - beta) == r_len
-    if any(x != 0 for x in s[:zeros]):
+    assert zeros + 1 + h2_len + (m - beta) == len(s)
+    if not (s.startswith("0" * zeros + "1") and s.endswith("1" * (m - beta))):
         return None
-    if s[zeros] != 1:
+    if beta <= m - 2 and s.count("0") < m:
         return None
-    if any(x != 1 for x in s[r_len - (m - beta):]):
+    h2 = s[zeros + 1 : zeros + 1 + h2_len]
+    if alpha > 0 and h2.count("1") != beta - 1:
         return None
-    if beta <= m - 2 and s.count(0) < m:
-        return None
-    if alpha > 0:
-        h2 = s[zeros + 1 : zeros + 1 + h2_len]
-        if beta < 1 or sum(h2) != beta - 1:
-            return None
-    return (0, 0, (_cut(s, "H2", zeros + 2, h2_len),))
+    return (0, 0, (("H2", h2, (zeros + 2, zeros + 1 + h2_len)),))
 
 
-def _match_case_iii(
-    s: tuple[int, ...], m: int, beta: int, alpha: int
-) -> _Match | None:
+def _match_case_iii(s: str, m: int, beta: int, alpha: int) -> _Match | None:
     """(0, 0, ()) when the first m ones sit early with few zeros between."""
-    if beta < alpha or s.count(0) >= m:
+    if beta < alpha or s.count("0") >= m:
         return None
-    ones = [x + 1 for x, v in enumerate(s) if v == 1]
+    ones = [x + 1 for x, v in enumerate(s) if v == "1"]
     if len(ones) < m:
         return None
     if ones[m - 1] > 3 * m - 3 - beta - alpha:

@@ -8,10 +8,10 @@ length reached together with the avoiding colorings at that length.
 
 compute_f explores one representative per color-permutation orbit: a
 prefix may introduce a new color only as the smallest color index not yet
-used. enumerate_avoiding walks the unreduced tree and has no orbit option;
-the representatives at a length come from compute_f. Every run is
-cut into n = min(workers, usable CPUs) parts, one process each (no process
-at all when n is 1). Each part walks the shallow levels itself and deals
+used. enumerate_avoiding walks the unreduced tree; the representatives at
+a length come from compute_f. Every run is cut into n = min(workers,
+usable CPUs) parts, one process each (no process at all when n is 1).
+Each part walks the shallow levels itself and deals
 the avoiding prefixes at a fixed depth round-robin in DFS order, keeping
 only its own subtrees; the merge (max over part maxima, sorted certificate
 union, summed node counts) fixes the result, so it does not depend on the

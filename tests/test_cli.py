@@ -313,6 +313,16 @@ def test_exit_2_on_bad_sizes(capsys) -> None:
     )
 
 
+def test_exit_2_on_non_ascii_digit(capsys) -> None:
+    code, out, err = run(
+        capsys, "verify", "--string", "\u00b2", "--sizes", "2,2", "--colors", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: expected a color digit (token '\u00b2' at offset 0)\n"
+    )
+
+
 @pytest.mark.parametrize("flag", [[], ["--json"]])
 def test_exit_2_on_table_without_rows(capsys, flag: list[str]) -> None:
     for m_max in ("1", "-3"):

@@ -45,6 +45,21 @@ def test_coloring_validation() -> None:
         c.color_at(2)
 
 
+def test_coloring_rejects_negative_colors() -> None:
+    with pytest.raises(ValueError, match="position 2 "):
+        Coloring([0, -1], 2)
+
+
+def test_rank_indexes_positions_of_each_color() -> None:
+    rng = random.Random(4242)
+    for r in range(2, 13):
+        for _ in range(20):
+            digits = [rng.randrange(r) for _ in range(rng.randrange(1, 40))]
+            c = Coloring(digits, r)
+            for p, k in enumerate(digits, 1):
+                assert c._rank[p] == c.positions_of(k).index(p)
+
+
 def test_positions_and_counts() -> None:
     c = parse_run_string("0^210^3", 2)  # 001000
     assert c.positions_of(0) == (1, 2, 4, 5, 6)
@@ -136,6 +151,13 @@ PARSE_ERRORS = [
     ("3", 2, "color digit 3 out of range 0..1", "3", 0),
     ("", 2, "empty coloring string", "", 0),
     ("01", 12, "codec supports 2..10 colors, got 12", "01", 0),
+    # only ASCII 0-9 are digits, though str.isdigit and int() take more
+    ("\u00b2", 2, "expected a color digit", "\u00b2", 0),
+    ("0^\u00b2", 2, "exponent missing after '^'", "0^", 0),
+    ("0^1\u00b2", 2, "expected a color digit", "\u00b2", 3),
+    ("\u0663", None, "expected a color digit", "\u0663", 0),
+    ("0^{\u0663}", None, "braced exponent must be digits", "0^{\u0663}", 0),
+    ("0^1\u0663", 2, "expected a color digit", "\u0663", 3),
 ]
 
 
@@ -145,7 +167,7 @@ PARSE_ERRORS = [
     ids=[f"{s or 'empty'}-{r}" for s, r, *_ in PARSE_ERRORS],
 )
 def test_parse_errors_carry_token_and_offset(
-    s: str, num_colors: int, message: str, token: str, offset: int
+    s: str, num_colors: int | None, message: str, token: str, offset: int
 ) -> None:
     with pytest.raises(ColoringParseError) as exc:
         parse_run_string(s, num_colors)

@@ -168,6 +168,41 @@ def test_classify_h_strings_rebuild_every_frame() -> None:
             assert rebuilt == frame, where
 
 
+# (case_tag, mask, mu, nu) over every coloring with a big set. The mask
+# decides lemma 2.2's bounds, so it is pinned along with the tags.
+EXPECTED_MATCHES = {
+    2: {("i", ("i",), 0, 0): 2, ("ii", ("ii",), 0, 0): 4,
+        ("ii", ("ii", "iii"), 0, 0): 4, ("iii", ("iii",), 0, 0): 4},
+    3: {("i", ("i",), 0, 0): 18, ("i", ("i",), 0, 1): 2,
+        ("i", ("i",), 1, 0): 4, ("ii", ("ii",), 0, 0): 30,
+        ("ii", ("ii", "iii"), 0, 0): 32, ("iii", ("iii",), 0, 0): 38},
+    4: {("i", ("i",), 0, 0): 134, ("i", ("i",), 0, 1): 14,
+        ("i", ("i",), 0, 2): 2, ("i", ("i",), 1, 0): 40,
+        ("i", ("i",), 1, 1): 8, ("i", ("i",), 2, 0): 8,
+        ("ii", ("ii",), 0, 0): 218, ("ii", ("ii", "iii"), 0, 0): 256,
+        ("iii", ("iii",), 0, 0): 336},
+    5: {("i", ("i",), 0, 0): 970, ("i", ("i",), 0, 1): 98,
+        ("i", ("i",), 0, 2): 18, ("i", ("i",), 0, 3): 2,
+        ("i", ("i",), 1, 0): 332, ("i", ("i",), 1, 1): 76,
+        ("i", ("i",), 1, 2): 12, ("i", ("i",), 2, 0): 104,
+        ("i", ("i",), 2, 1): 24, ("i", ("i",), 3, 0): 16,
+        ("ii", ("ii",), 0, 0): 1594, ("ii", ("ii", "iii"), 0, 0): 2048,
+        ("iii", ("iii",), 0, 0): 2882},
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_classify_matches_frozen_exhaustive(m: int) -> None:
+    tally: Counter = Counter()
+    for digits in itertools.product((0, 1), repeat=3 * m - 2):
+        c = Coloring(digits, 2)
+        ext = find_extremal_b1(c, m)
+        if ext is not None:
+            case = classify_lemma21(c, ext)
+            tally[(case.case_tag, case.mask, case.mu, case.nu)] += 1
+    assert tally == EXPECTED_MATCHES[m]
+
+
 def test_classify_violation_is_loud(monkeypatch) -> None:
     """Disable every matcher and expect the alarm, not a quiet miss."""
     c = parse_run_string("1111", 2)
