@@ -413,10 +413,14 @@ class IncrementalState:
             )
         if not 0 <= color < self._r:
             raise ValueError(f"color {color} out of range 0..{self._r - 1}")
+        # Index before appending, so that a rejected color leaves no trace.
+        try:
+            Lx = self._pos[color]
+        except TypeError:
+            raise ValueError(f"color {color!r} is not an integer") from None
         digits = self._digits
         digits.append(color)
         p = len(digits)
-        Lx = self._pos[color]
         Lx.append(p)
         have = len(Lx)
         rows = self._m

@@ -48,15 +48,20 @@ class Coloring:
         table: list[list[int]] = [[] for _ in range(num_colors)]
         # _rank[p]: the index of p among its color's positions; 0 unused.
         rank = [0]
-        for p, color in enumerate(seq, 1):
-            if not 0 <= color < num_colors:
-                raise ValueError(
-                    f"color {color} at position {p} out of range "
-                    f"0..{num_colors - 1}"
-                )
-            row = table[color]
-            rank.append(len(row))
-            row.append(p)
+        try:
+            for p, color in enumerate(seq, 1):
+                if not 0 <= color < num_colors:
+                    raise ValueError(
+                        f"color {color} at position {p} out of range "
+                        f"0..{num_colors - 1}"
+                    )
+                row = table[color]
+                rank.append(len(row))
+                row.append(p)
+        except TypeError:  # the range check admits 1.0; table[1.0] fails
+            raise ValueError(
+                f"color {color!r} at position {p} is not an integer"
+            ) from None
         self._digits: tuple[int, ...] = seq
         self._num_colors = num_colors
         self._positions = tuple(map(tuple, table))

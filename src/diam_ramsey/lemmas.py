@@ -209,13 +209,23 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
     tag, at the offsets it tested.
 
     Raises:
+        ValueError: b1 is not a big set of c with its color, beta and
+            alpha. Whether it is the extremal one is not checked.
         LemmaViolationError: no case matches. This would falsify the
             statement being validated and must abort loudly.
     """
     m = len(b1.b1)
     _require_window(c, m)
-    beta, alpha = b1.beta, b1.alpha
-    s = _frame(c, m, beta, b1.color_c1)
+    beta, alpha, k = b1.beta, b1.alpha, b1.color_c1
+    members, digits = b1.b1.elements, c.digits
+    lo, hi = members[0], members[-1]
+    if not (
+        beta >= 0 and alpha >= 0
+        and hi == 3 * m - 2 - beta and hi - lo == 2 * m - 2 + alpha
+        and {digits[x - 1] for x in members} == {k}
+    ):
+        raise ValueError(f"{b1} does not describe a big set of {c!r}")
+    s = _frame(c, m, beta, k)
     found = {
         "i": _match_case_i(s, m, beta, alpha),
         "ii": _match_case_ii(s, m, beta, alpha),

@@ -8,8 +8,8 @@ length reached together with the avoiding colorings at that length.
 
 compute_f explores one representative per color-permutation orbit: a
 prefix may introduce a new color only as the smallest color index not yet
-used. enumerate_avoiding walks the unreduced tree; the representatives at
-a length come from compute_f. Every run is cut into n = min(workers,
+used; enumerate_avoiding expands those representatives at a length into
+their orbits. Every run is cut into n = min(workers,
 usable CPUs) parts, one process each (no process at all when n is 1).
 Each part walks the shallow levels itself and deals
 the avoiding prefixes at a fixed depth round-robin in DFS order, keeping
@@ -24,6 +24,7 @@ import os
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from itertools import permutations
 from multiprocessing import Pool
 
 from .checker import IncrementalState, ProblemSpec, exists_solution
@@ -157,21 +158,12 @@ def known_value(spec: ProblemSpec) -> int | None:
 # ======================================================================
 
 class _Stop(Exception):
-    """Internal: a part passed max_nodes or reached its certificate limit."""
+    """Internal: a part passed max_nodes."""
 
 
-def _search_from(
-    spec: ProblemSpec,
-    n_cap: int,
-    mode: str,
-    symmetry: bool,
-    guard: int | None,
-    max_nodes: int | None,
-    part: int,
-    parts: int,
-    limit: int | None = None,
-) -> tuple[int, list[tuple[int, ...]], int]:
-    """Walk the avoiding tree from the root, keeping part `part` of `parts`.
+def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
+    """Walk the avoiding tree for args = (spec, n_cap, mode, guard,
+    max_nodes, part, parts), keeping part `part` of `parts`.
 
     The avoiding prefixes of length _SPLIT_DEPTH are dealt in DFS order:
     the i-th goes to part i % parts, and part 0 also owns every shorter
@@ -182,11 +174,11 @@ def _search_from(
     Returns (best length, certificates at that length in lexicographic
     order, nodes expanded) over the owned nodes; a part that owns nothing
     returns (0, [], 0). The walk stops as soon as the count passes
-    max_nodes (so a count above it marks a partial result) or, in
-    all_certificates mode, once `limit` certificates of length n_cap are
-    recorded. Raises FormulaContradictedError when an avoiding coloring of
-    length >= guard appears.
+    max_nodes, so a count above it marks a partial result. Raises
+    FormulaContradictedError when an avoiding coloring of length >= guard
+    appears.
     """
+    spec, n_cap, mode, guard, max_nodes, part, parts = args
     state = IncrementalState(spec)
     # The state holds the prefix: extend appends x, retract drops it.
     extend, retract, digits = state.extend, state.retract, state._digits
@@ -230,20 +222,13 @@ def _search_from(
                         certs.clear()
                     if cap is None or len(certs) < cap:
                         certs.append(tuple(digits))
-                        if len(certs) == limit and d == n_cap:
-                            raise _Stop
                 if keep or d < split:
                     dfs(d, max(used, x + 1))
             retract()
 
     with suppress(_Stop):
-        # used = r opens every color at every depth: the unreduced tree.
-        dfs(0, 0 if symmetry else r)
+        dfs(0, 0)
     return best, certs, nodes
-
-
-def _worker_search(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
-    return _search_from(*args)
 
 
 def _usable_cpus() -> int:
@@ -302,9 +287,9 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     t0 = time.perf_counter()
     mode = config.mode
     max_nodes = config.max_nodes
-    args = (spec, n_cap, mode, True, guard, max_nodes)
+    args = (spec, n_cap, mode, guard, max_nodes)
     best, certs, nodes, budget_hit = 0, [], 0, False
-    with _job_results(_worker_search, args, config.worker_count) as results:
+    with _job_results(_search_from, args, config.worker_count) as results:
         for wbest, wcerts, wnodes in results:
             nodes += wnodes
             if wbest > best:
@@ -353,15 +338,22 @@ def enumerate_avoiding(
 ) -> list[Coloring]:
     """Avoiding colorings of exactly the given length, lexicographically.
 
-    Returns at most `limit` colorings (all of them when limit is None).
-    When any exist, compute_f with n_cap=length and mode "all_certificates"
-    returns one representative per color-permutation orbit of them.
+    Returns at most `limit` colorings (all of them when limit is None):
+    the images of compute_f's certificates at n_cap=length, the least
+    member of each color-permutation orbit, under every injection of their
+    colors into 0..r-1. Raises FormulaContradictedError as compute_f does.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    best, found, _nodes = _search_from(
-        spec, length, "all_certificates", False, None, None, 0, 1, limit
+    r = spec.num_colors
+    res = compute_f(spec, SearchConfig(n_cap=length, mode="all_certificates"))
+    if not res.inconclusive:
+        return []
+    found = sorted(
+        tuple(image[x] for x in rep)
+        for rep in res.certificates
+        for image in permutations(range(r), max(rep) + 1)
     )
-    return [Coloring(t, spec.num_colors) for t in found] if best == length else []
+    return [Coloring(t, r) for t in found[:limit]]

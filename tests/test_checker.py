@@ -426,6 +426,19 @@ def test_incremental_flag_then_extend_errors() -> None:
         IncrementalState(spec).retract()
 
 
+def test_incremental_rejects_non_integer_color() -> None:
+    """A color that passes the range check but is no index (1.0) is refused
+    before anything is appended, so retract still undoes the last extend."""
+    state = IncrementalState(ProblemSpec((2, 2), 2))
+    state.extend(0)
+    with pytest.raises(ValueError, match=r"color 1\.0 "):
+        state.extend(1.0)
+    assert state.length == 1
+    state.retract()
+    assert state.length == 0
+    assert not state.extend(1) and state.length == 1
+
+
 def test_incremental_dfs_matches_exists() -> None:
     """Walk the whole avoiding tree by extend/retract, as the search does,
     and check each flag with the suffix DP. On these specs later branches

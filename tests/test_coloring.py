@@ -50,6 +50,13 @@ def test_coloring_rejects_negative_colors() -> None:
         Coloring([0, -1], 2)
 
 
+def test_coloring_rejects_non_integer_colors() -> None:
+    with pytest.raises(ValueError, match=r"color 1\.0 at position 2 "):
+        Coloring([0, 1.0, 0], 2)
+    with pytest.raises(ValueError, match="color '1' at position 1 "):
+        Coloring(["1"], 2)
+
+
 def test_rank_indexes_positions_of_each_color() -> None:
     rng = random.Random(4242)
     for r in range(2, 13):

@@ -10,6 +10,7 @@ import pytest
 import diam_ramsey.lemmas as lemmas_mod
 from diam_ramsey import (
     Coloring,
+    ExtremalB1,
     IntSet,
     LemmaViolationError,
     check_lemma22,
@@ -214,6 +215,21 @@ def test_classify_violation_is_loud(monkeypatch) -> None:
         classify_lemma21(c, ext)
     assert "LEMMA VIOLATION" in str(exc.value)
     assert exc.value.coloring == c
+
+
+@pytest.mark.parametrize(
+    "b1",
+    [
+        ExtremalB1(IntSet([1, 2, 7]), 1, 0, 2),  # b1 not of color 1
+        ExtremalB1(IntSet([1, 2, 3]), 0, 2, 1),  # max is not 3m-2-beta
+        ExtremalB1(IntSet([2, 3, 4]), 0, 0, 0),  # neither max nor diam fit
+    ],
+)
+def test_classify_rejects_an_inconsistent_frame(b1) -> None:
+    """A frame that no coloring's big set produces is the caller's error,
+    not a lemma violation and not a case."""
+    with pytest.raises(ValueError, match="does not describe a big set"):
+        classify_lemma21(parse_run_string("0^7", 2), b1)
 
 
 # ======================================================================

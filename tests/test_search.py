@@ -120,10 +120,21 @@ def test_all_certificates_match_enumeration() -> None:
         assert [c.digits for c in res.certificates] == ref, r
 
 
+def _avoiding(spec: ProblemSpec, length: int) -> list[tuple[int, ...]]:
+    """Every avoiding coloring of [1, length] in lexicographic order, by
+    the suffix DP over itertools.product: independent of the search."""
+    r = spec.num_colors
+    return [
+        digits
+        for digits in itertools.product(range(r), repeat=length)
+        if exists_solution(Coloring(digits, r), spec) is None
+    ]
+
+
 def test_symmetry_reduction_halves_two_color_certificates() -> None:
     spec = ProblemSpec((2, 2), 2)
     certs = compute_f(spec, SearchConfig(mode="all_certificates")).certificates
-    full = enumerate_avoiding(spec, certs[0].length)
+    full = _avoiding(spec, certs[0].length)
     # every representative opens with color 0 and uses both colors, so
     # each orbit has size 2 and holds the representative and its swap
     for c in certs:
@@ -131,7 +142,7 @@ def test_symmetry_reduction_halves_two_color_certificates() -> None:
         assert math.perm(2, len(set(c.digits))) == 2
     assert len(full) == 2 * len(certs)
     swapped = {tuple(1 - x for x in c.digits) for c in certs}
-    assert {c.digits for c in full} == {c.digits for c in certs} | swapped
+    assert set(full) == {c.digits for c in certs} | swapped
 
 
 def test_inconclusive_at_cap() -> None:
@@ -184,6 +195,9 @@ def test_formula_contradicted_is_loud(monkeypatch) -> None:
     assert exc.value.expected == 5
     assert exc.value.coloring.length >= 5
     assert exists_solution(exc.value.coloring, spec) is None
+    # enumerate_avoiding runs the same search, so it fails the same way
+    with pytest.raises(FormulaContradictedError):
+        enumerate_avoiding(spec, 5)
 
 
 def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
@@ -285,7 +299,7 @@ def test_spawn_start_method_agrees(monkeypatch) -> None:
 def _walk_parts(spec: ProblemSpec, n_cap: int, parts: int) -> list[tuple]:
     return [
         search_mod._search_from(
-            spec, n_cap, "all_certificates", True, None, None, k, parts
+            (spec, n_cap, "all_certificates", None, None, k, parts)
         )
         for k in range(parts)
     ]
@@ -354,37 +368,42 @@ def test_enumerate_avoiding_limit() -> None:
     assert found == enumerate_avoiding(spec, 6)[:3]
 
 
-def test_enumerate_avoiding_limit_stops_early(monkeypatch) -> None:
-    # The walk stops at the limit-th certificate; the prefix must not move.
+def test_enumerate_avoiding_limit_is_a_prefix() -> None:
     spec = ProblemSpec((3, 3, 3), 2)
     full = enumerate_avoiding(spec, 19)
     assert len(full) > 5
     for k in (1, 2, 5, len(full), len(full) + 1):
         assert enumerate_avoiding(spec, 19, limit=k) == full[:k]
-    walk, nodes = search_mod._search_from, []
 
-    def counting_walk(*args):
-        out = walk(*args)
-        nodes.append(out[2])
-        return out
 
-    monkeypatch.setattr(search_mod, "_search_from", counting_walk)
-    enumerate_avoiding(spec, 19, limit=1)
-    enumerate_avoiding(spec, 19)
-    assert nodes[0] < nodes[1] // 5
+@pytest.mark.parametrize(
+    "sizes, colors, strict, top",
+    [((2, 2), 3, False, 10), ((2, 2), 4, False, 7), ((2, 2), 2, True, 8)],
+)
+def test_enumerate_avoiding_matches_product(sizes, colors, strict, top) -> None:
+    """The whole avoiding set at each length, against _avoiding's filter."""
+    spec = ProblemSpec(sizes, colors, strict=strict)
+    for length in range(1, top + 1):
+        ref = _avoiding(spec, length)
+        assert [c.digits for c in enumerate_avoiding(spec, length)] == ref
+        for limit in (1, 2, 5):
+            found = enumerate_avoiding(spec, length, limit=limit)
+            assert [c.digits for c in found] == ref[:limit], (length, limit)
 
 
 def test_enumerate_avoiding_orbits() -> None:
     """compute_f's representatives at a length stand for the orbits of the
-    plain enumeration: orbit sizes r!/(r-u)! sum back to the plain count."""
+    avoiding set: orbit sizes r!/(r-u)! sum back to its count."""
     for r, length in ((2, 6), (3, 4), (3, 10)):
         spec = ProblemSpec((2, 2), r)
-        plain = enumerate_avoiding(spec, length)
+        plain = _avoiding(spec, length)
         config = SearchConfig(n_cap=length, mode="all_certificates")
         reps = compute_f(spec, config).certificates
         assert reps and all(rep.length == length for rep in reps)
         assert all(rep.digits[0] == 0 for rep in reps)
-        assert list(reps) == [c for c in plain if _is_representative(c.digits)]
+        assert [rep.digits for rep in reps] == [
+            d for d in plain if _is_representative(d)
+        ]
         orbits = [math.perm(r, len(set(rep.digits))) for rep in reps]
         assert sum(orbits) == len(plain), (r, length)
 
