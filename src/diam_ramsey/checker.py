@@ -8,7 +8,9 @@ diam(B1) <= ... <= diam(Bt). The strict variant replaces <= by <.
 Three independent routes decide existence:
 
 * exists_solution: a suffix dynamic program over (stage, start position),
-  linear in N per stage; also extracts the canonical witness.
+  linear in N per stage; also extracts the canonical witness. The last
+  stage needs no room after it, so its sweep reads only each color's last
+  position; the earlier stages sweep two pointers down.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
@@ -167,9 +169,12 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N].
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
-    (no constraint). Each stage is one sweep of p from N down to 1 whose
-    pointers only move down: O(N + r). The ranks of the positions within
-    their colors come from c.
+    (no constraint). Each stage is one sweep of p from N down to 1: O(N + r).
+    The last stage has no later stage to leave room for, so a start's
+    best end is the last position of its color, if enough of that color
+    lie from the start on. The stages before it move two pointers, which
+    only move down. The ranks of the positions within their colors come
+    from c.
     """
     digits = c.digits
     n = len(digits)
@@ -180,22 +185,32 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     off = 1 if spec.strict else 0
     S = [[_NEG] * (n + 3) for _ in range(t + 2)]
     S[t + 1] = [_POS] * (n + 3)
-    for s in range(t, 0, -1):
+    # Stage t: a start p of color k is usable when at least m_t positions
+    # of color k lie in [p, N], that is rank[p] <= len(L_k) - m_t.
+    cur = S[t]
+    ends = [L[-1] if L else 0 for L in pos]
+    top = [len(L) - spec.sizes[t - 1] for L in pos]
+    best = _NEG
+    for p in range(n, 0, -1):
+        k = digits[p - 1]
+        if rank[p] <= top[k] and ends[k] - p > best:
+            best = ends[k] - p
+        cur[p] = best
+    for s in range(t - 1, 0, -1):
         ms1 = spec.sizes[s - 1] - 1
         nxt = S[s + 1]
         cur = S[s]
-        off_next = off if s < t else 0
         # j: the largest end whose remaining interval still supports the
-        # later stages, g(j) = j - S[s+1][j+1] <= p - off_next (_POS always
-        # passes). g is increasing in j, so j only falls as p falls; once
-        # j < p no end can be usable, so it may stop at p.
+        # later stages, g(j) = j - S[s+1][j+1] <= p - off. g is increasing
+        # in j, so j only falls as p falls; once j < p no end can be
+        # usable, so it may stop at p.
         j = n
         # last[k]: index in pos[k] of the last color-k position <= j,
         # moved only when color k comes up.
         last = [len(L) - 1 for L in pos]
         best = _NEG
         for p in range(n, 0, -1):
-            lim = p - off_next
+            lim = p - off
             while j > p and j - nxt[j + 1] > lim:
                 j -= 1
             k = digits[p - 1]

@@ -4,6 +4,10 @@ A coloring assigns one of r colors (numbered 0..r-1) to every position of
 the interval [1, N]. Colorings are immutable: searches and checkers treat
 them as values. Construction also indexes the coloring: the ascending
 positions of each color, and the rank of every position among them.
+Coloring(digits, r) indexes one position at a time, which suits short
+runs. Colorings that come as runs (parse_run_string and the lower-bound
+constructions) are indexed a run at a time, and Coloring.extended copies
+its parent's index and adds the one new position.
 
 The compact string notation writes a coloring as a sequence of runs, e.g.
 "0^210^3" for 001000: a digit names the color, an optional ^k repeats it.
@@ -41,31 +45,59 @@ class Coloring:
 
     def __init__(self, digits: Iterable[int], num_colors: int) -> None:
         seq = tuple(digits)
-        if not seq:
-            raise ValueError("coloring must cover at least one position")
-        if num_colors < 2:
-            raise ValueError(f"need at least 2 colors, got {num_colors}")
+        _check_shape(len(seq), num_colors)
         table: list[list[int]] = [[] for _ in range(num_colors)]
         # _rank[p]: the index of p among its color's positions; 0 unused.
         rank = [0]
         try:
             for p, color in enumerate(seq, 1):
                 if not 0 <= color < num_colors:
-                    raise ValueError(
-                        f"color {color} at position {p} out of range "
-                        f"0..{num_colors - 1}"
-                    )
+                    _row(table, color, p)  # raises: out of range
                 row = table[color]
                 rank.append(len(row))
                 row.append(p)
-        except TypeError:  # the range check admits 1.0; table[1.0] fails
-            raise ValueError(
-                f"color {color!r} at position {p} is not an integer"
-            ) from None
+        except TypeError:
+            _row(table, color, p)  # raises: not an integer
         self._digits: tuple[int, ...] = seq
         self._num_colors = num_colors
         self._positions = tuple(map(tuple, table))
         self._rank = rank
+
+    @classmethod
+    def _from_runs(
+        cls, runs: Iterable[tuple[int, int]], num_colors: int
+    ) -> "Coloring":
+        """The coloring of (color, length) runs, indexed a run at a time.
+
+        Lengths may be 0; such runs are skipped. Raises the ValueError
+        Coloring(digits, num_colors) raises for the same digits.
+        """
+        runs = [(color, k) for color, k in runs if k]
+        _check_shape(sum(k for _color, k in runs), num_colors)
+        table: list[list[int]] = [[] for _ in range(num_colors)]
+        rank = [0]
+        digits: list[int] = []
+        p = 1
+        for color, k in runs:
+            row = _row(table, color, p)
+            have = len(row)
+            row += range(p, p + k)
+            rank += range(have, have + k)
+            digits += (color,) * k
+            p += k
+        return cls._indexed(
+            tuple(digits), num_colors, tuple(map(tuple, table)), rank
+        )
+
+    @classmethod
+    def _indexed(cls, digits, num_colors, positions, rank) -> "Coloring":
+        """A Coloring over an index that is already built."""
+        self = object.__new__(cls)
+        self._digits = digits
+        self._num_colors = num_colors
+        self._positions = positions
+        self._rank = rank
+        return self
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -94,8 +126,18 @@ class Coloring:
         return self._positions[color]
 
     def extended(self, color: int) -> "Coloring":
-        """A new coloring with `color` appended at position N+1."""
-        return Coloring(self._digits + (color,), self._num_colors)
+        """A new coloring with `color` appended at position N+1.
+
+        The index is this one's with the new position added to its color.
+        """
+        p = len(self._digits) + 1
+        table = list(self._positions)
+        row = _row(table, color, p)
+        table[color] = row + (p,)
+        return Coloring._indexed(
+            self._digits + (color,), self._num_colors, tuple(table),
+            self._rank + [len(row)],
+        )
 
     # ------------------------------------------------------------------
     # dunder plumbing
@@ -123,6 +165,29 @@ class Coloring:
         else:
             body = repr(self._digits)
         return f"Coloring({body}, num_colors={self._num_colors})"
+
+
+def _check_shape(n: int, num_colors: int) -> None:
+    """Raise ValueError unless n positions and num_colors colors can form
+    a coloring."""
+    if not n:
+        raise ValueError("coloring must cover at least one position")
+    if num_colors < 2:
+        raise ValueError(f"need at least 2 colors, got {num_colors}")
+
+
+def _row(table: list, color: object, p: int):
+    """table[color], or the ValueError for color at position p."""
+    try:
+        if 0 <= color < len(table):
+            return table[color]
+    except TypeError:  # the range check admits 1.0; table[1.0] fails
+        raise ValueError(
+            f"color {color!r} at position {p} is not an integer"
+        ) from None
+    raise ValueError(
+        f"color {color} at position {p} out of range 0..{len(table) - 1}"
+    )
 
 
 class IntSet:
@@ -220,7 +285,7 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
             s, 0, 8,
             f"codec supports 2..{MAX_CODEC_COLORS} colors, got {num_colors}",
         )
-    digits: list[int] = []
+    runs: list[tuple[int, int]] = []
     i, n = 0, len(s)
     while i < n:
         ch = s[i]
@@ -266,12 +331,12 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
                 s, start, i,
                 f"color digit {color} out of range 0..{num_colors - 1}",
             )
-        digits.extend([color] * count)
-    if not digits:
+        runs.append((color, count))
+    if not runs:
         raise _parse_error(s, 0, n, "empty coloring string")
     if num_colors is None:
-        num_colors = max(2, max(digits) + 1)
-    return Coloring(digits, num_colors)
+        num_colors = max(2, max(color for color, _k in runs) + 1)
+    return Coloring._from_runs(runs, num_colors)
 
 
 def _require_codec(num_colors: int) -> None:

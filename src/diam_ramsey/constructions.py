@@ -65,10 +65,7 @@ def lower_bound_coloring(m: int, force_general: bool = False) -> Coloring:
     With force_general the general pattern is used even at m in {2, 5},
     where it only reaches formula_f_mmm2(m) - 2.
     """
-    digits: list[int] = []
-    for color, k in lower_bound_runs(m, force_general):
-        digits.extend([color] * k)
-    return Coloring(digits, num_colors=2)
+    return Coloring._from_runs(lower_bound_runs(m, force_general), 2)
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,11 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
 
     Raises:
         ValueError: b1 is not a big set of c with its color, beta and
-            alpha. Whether it is the extremal one is not checked.
-        LemmaViolationError: no case matches. This would falsify the
-            statement being validated and must abort loudly.
+            alpha; or no case matches and b1 is not extremal (another big
+            set has a smaller (max, diam)). Extremality is checked only
+            when no case matches, so a matching window costs nothing more.
+        LemmaViolationError: no case matches an extremal b1. This would
+            falsify the statement being validated and must abort loudly.
     """
     m = len(b1.b1)
     _require_window(c, m)
@@ -233,6 +235,8 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
     }
     mask = tuple(tag for tag, match in found.items() if match)
     if not mask:
+        if _least_set(c, m, 1, 2 * m - 2)[:2] != (hi, lo):
+            raise ValueError(f"{b1} is not the extremal big set of {c!r}")
         raise LemmaViolationError(
             f"no structural case matches {format_run_string(c)} "
             f"(m={m}, beta={beta}, alpha={alpha})",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from diam_ramsey import (
 from diam_ramsey.checker import (
     DEFAULT_ORACLE_CAP,
     _NEG,
+    _POS,
     _least_set,
     _suffix_table,
 )
@@ -224,6 +226,71 @@ def test_suffix_table_matches_definition() -> None:
             assert S[s][1 : n + 2] == ref[1:], (c, spec.label(), s)
             finite += sum(1 for x in ref if x != _NEG)
     assert finite > 5000
+
+
+def _msets(digits: tuple[int, ...], m: int) -> list[tuple[int, int]]:
+    """(min, max) of every monochromatic m-set's shape, by counting."""
+    n = len(digits)
+    return [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if digits[j - 1] == digits[i - 1]
+        and digits[i - 1 : j].count(digits[i - 1]) >= m
+    ]
+
+
+def _suffix_rows(n: int, spec: ProblemSpec, msets) -> list[list[int]]:
+    """Every row of the suffix table over all pairs: S[s][p] is the largest
+    j - i over the m_s-sets (i, j) with i >= p that a chain of stages
+    s+1..t in [j+1, N] can follow, i.e. S[s+1][j+1] >= j - i (+1 strict)."""
+    off = 1 if spec.strict else 0
+    rows = [[_NEG] * (n + 3) for _ in range(spec.t + 2)]
+    rows[spec.t + 1] = [_POS] * (n + 3)
+    for s in range(spec.t, 0, -1):
+        row, nxt = rows[s], rows[s + 1]
+        for i, j in msets[spec.sizes[s - 1]]:
+            if nxt[j + 1] >= j - i + off:
+                for p in range(1, i + 1):
+                    row[p] = max(row[p], j - i)
+    return rows
+
+
+def _relabelings_apart(r: int, n: int):
+    """One coloring of length n per class under color relabeling: colors
+    first appear in the order 0, 1, 2, ..."""
+    for digits in product(range(r), repeat=n):
+        seen = -1
+        for x in digits:
+            if x > seen + 1:
+                break
+            seen = max(seen, x)
+        else:
+            yield digits
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_suffix_table_rows_match_definition(r: int) -> None:
+    """Every row, not only S[1][1], on every coloring with N <= 10 up to
+    relabeling (the table does not depend on the color names), strict and
+    not; the witness walk reads each S[s+1], and t = 1 runs only the
+    last-stage sweep."""
+    specs = [
+        ProblemSpec(sizes, r, strict)
+        for sizes in ((2,), (2, 2), (2, 3, 2), (3, 2))
+        for strict in (False, True)
+    ]
+    finite = 0
+    for n in range(1, 11):
+        for digits in _relabelings_apart(r, n):
+            c = Coloring(digits, r)
+            msets = {m: _msets(digits, m) for m in (2, 3)}
+            for spec in specs:
+                S = _suffix_table(c, spec)
+                ref = _suffix_rows(n, spec, msets)
+                assert S[1:] == ref[1:], (digits, spec)
+                finite += S[1][1] != _NEG
+    assert finite > 1000
 
 
 def test_three_routes_agree_on_random_specs() -> None:

@@ -13,6 +13,8 @@ from diam_ramsey import (
     ColoringParseError,
     IntSet,
     format_run_string,
+    lower_bound_coloring,
+    lower_bound_runs,
     parse_run_string,
 )
 
@@ -96,6 +98,97 @@ def test_coloring_repr_uses_run_string() -> None:
     assert repr(Coloring([0, 10, 3], 11)) == (
         "Coloring((0, 10, 3), num_colors=11)"
     )
+
+
+def _expand(runs) -> list:
+    return [color for color, k in runs for _ in range(k)]
+
+
+def _assert_same_index(c: Coloring, ref: Coloring) -> None:
+    """c equals ref in digits, palette, index, == and hash."""
+    assert c.digits == ref.digits
+    assert c.num_colors == ref.num_colors
+    for k in range(ref.num_colors):
+        assert c.positions_of(k) == ref.positions_of(k)
+        assert type(c.positions_of(k)) is tuple
+    assert c._rank == ref._rank
+    assert c == ref
+    assert hash(c) == hash(ref)
+
+
+def test_runs_build_matches_digits_build_on_constructions() -> None:
+    """Includes the general pattern's zero-length run at m = 2."""
+    for m in range(2, 61):
+        for force_general in (False, True):
+            runs = lower_bound_runs(m, force_general)
+            ref = Coloring(_expand(runs), 2)
+            _assert_same_index(Coloring._from_runs(runs, 2), ref)
+            _assert_same_index(lower_bound_coloring(m, force_general), ref)
+            text = format_run_string(ref)
+            _assert_same_index(parse_run_string(text, 2), ref)
+
+
+def test_runs_build_matches_digits_build_on_random_runs() -> None:
+    """Adjacent runs of one color, zero-length runs and up to 10 colors."""
+    rng = random.Random(2718)
+    for _ in range(400):
+        r = rng.randint(2, 10)
+        runs = [
+            (rng.randrange(r), rng.randrange(6))
+            for _ in range(rng.randint(1, 12))
+        ]
+        if not _expand(runs):
+            runs.append((rng.randrange(r), 1))
+        ref = Coloring(_expand(runs), r)
+        _assert_same_index(Coloring._from_runs(runs, r), ref)
+        # The codec takes adjacent runs of one color as they are written.
+        text = " ".join(f"{color}^{{{k}}}" for color, k in runs if k)
+        _assert_same_index(parse_run_string(text, r), ref)
+    # An empty run holds no position, so its color is never read.
+    _assert_same_index(
+        Coloring._from_runs([(5, 0), (1, 2)], 2), Coloring([1, 1], 2)
+    )
+
+
+def test_extended_copies_the_index() -> None:
+    rng = random.Random(3141)
+    for _ in range(200):
+        r = rng.randint(2, 10)
+        digits = tuple(rng.randrange(r) for _ in range(rng.randint(1, 30)))
+        c = Coloring(digits, r)
+        for x in range(r):
+            _assert_same_index(c.extended(x), Coloring(digits + (x,), r))
+        _assert_same_index(c, Coloring(digits, r))  # the parent is untouched
+
+
+@pytest.mark.parametrize(
+    "runs, num_colors",
+    [
+        ([(0, 2), (2, 1)], 2),  # out of range at the run's first position
+        ([(1, 1), (-1, 3)], 2),
+        ([(0, 1), (2.5, 2)], 2),
+        ([(0, 1), (1.0, 2)], 2),  # not an integer
+        ([(0, 0), ("1", 1)], 2),
+        ([(0, 0), (1, 0)], 2),  # no positions
+        ([(0, 3)], 1),
+    ],
+)
+def test_runs_build_raises_the_digits_build_errors(runs, num_colors) -> None:
+    with pytest.raises(ValueError) as expected:
+        Coloring(_expand(runs), num_colors)
+    with pytest.raises(ValueError) as exc:
+        Coloring._from_runs(runs, num_colors)
+    assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("x", [2, -1, 1.0, 0.5, "1", None])
+def test_extended_raises_the_digits_build_errors(x) -> None:
+    c = Coloring([0, 1, 1], 2)
+    with pytest.raises(ValueError) as expected:
+        Coloring(c.digits + (x,), 2)
+    with pytest.raises(ValueError) as exc:
+        c.extended(x)
+    assert str(exc.value) == str(expected.value)
 
 
 # ======================================================================

@@ -232,6 +232,19 @@ def test_classify_rejects_an_inconsistent_frame(b1) -> None:
         classify_lemma21(parse_run_string("0^7", 2), b1)
 
 
+def test_classify_blames_a_non_extremal_big_set() -> None:
+    """A big set that fits its frame but is not extremal matches no case;
+    that is the caller's error, not a lemma violation."""
+    c = parse_run_string("0^7", 2)
+    b1 = ExtremalB1(IntSet([1, 2, 7]), 0, 0, 2)
+    with pytest.raises(ValueError, match="is not the extremal big set") as exc:
+        classify_lemma21(c, b1)
+    assert not isinstance(exc.value, LemmaViolationError)
+    ext = find_extremal_b1(c, 3)
+    assert ext == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
+    assert classify_lemma21(c, ext).mask
+
+
 # ======================================================================
 # small-diameter guarantees
 # ======================================================================
