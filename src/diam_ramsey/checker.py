@@ -10,7 +10,11 @@ Three independent routes decide existence:
 * exists_solution: a suffix dynamic program over (stage, start position),
   linear in N per stage; also extracts the canonical witness. The last
   stage needs no room after it, so its sweep reads only each color's last
-  position; the earlier stages sweep two pointers down.
+  position; the earlier stages sweep two pointers down. Each sweep covers
+  only its live prefix: the last row is _NEG (no chain) past its last
+  usable start, and an earlier row is _NEG from the next row's last
+  non-_NEG start on, since a set there leaves no room for the later
+  stages. The cells skipped are _NEG anyway, so no row changes.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
@@ -169,12 +173,20 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N].
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
-    (no constraint). Each stage is one sweep of p from N down to 1: O(N + r).
+    (no constraint). Each stage is one sweep of p down to 1: O(N + r).
     The last stage has no later stage to leave room for, so a start's
     best end is the last position of its color, if enough of that color
     lie from the start on. The stages before it move two pointers, which
     only move down. The ranks of the positions within their colors come
     from c.
+
+    Each sweep covers only its live prefix. Row t is _NEG past `live`,
+    its last usable start: the largest L_k[len(L_k) - m_t]. If row s+1 is
+    _NEG past `live`, a stage-s set ending at j needs S[s+1][j+1] >= 0, so
+    j < live and its start lies below j: row s is _NEG from `live` on, and
+    its sweep and its pointers start at live - 1. Row s's own `live` is
+    where its `best` first turns >= 0. The cells skipped keep the _NEG
+    they start with, so each row is what a sweep from N would write.
     """
     digits = c.digits
     n = len(digits)
@@ -190,8 +202,9 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     cur = S[t]
     ends = [L[-1] if L else 0 for L in pos]
     top = [len(L) - spec.sizes[t - 1] for L in pos]
+    live = max([L[i] for L, i in zip(pos, top) if i >= 0], default=0)
     best = _NEG
-    for p in range(n, 0, -1):
+    for p in range(live, 0, -1):
         k = digits[p - 1]
         if rank[p] <= top[k] and ends[k] - p > best:
             best = ends[k] - p
@@ -204,12 +217,13 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
         # later stages, g(j) = j - S[s+1][j+1] <= p - off. g is increasing
         # in j, so j only falls as p falls; once j < p no end can be
         # usable, so it may stop at p.
-        j = n
+        j = live - 1
         # last[k]: index in pos[k] of the last color-k position <= j,
         # moved only when color k comes up.
-        last = [len(L) - 1 for L in pos]
+        last = [bisect.bisect_right(L, j) - 1 for L in pos]
         best = _NEG
-        for p in range(n, 0, -1):
+        live = 0
+        for p in range(j, 0, -1):
             lim = p - off
             while j > p and j - nxt[j + 1] > lim:
                 j -= 1
@@ -223,6 +237,8 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
             # The end L[idx] is usable if [p, L[idx]] holds ms color-k
             # positions.
             if idx >= rank[p] + ms1 and L[idx] - p > best:
+                if best < 0:
+                    live = p
                 best = L[idx] - p
             cur[p] = best
     return S

@@ -103,6 +103,8 @@ def _cmd_compute(args: argparse.Namespace) -> _Outcome:
         "one": "one_certificate",
         "all": "all_certificates",
     }[args.certificates]
+    if args.cap is None and known_value(spec) is None:
+        raise ValueError(f"no closed form known for {spec.label()}; pass --cap")
     if mode != "value_only":
         _require_codec(spec.num_colors)  # fail before the search, not after
     config = SearchConfig(

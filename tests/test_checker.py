@@ -228,31 +228,26 @@ def test_suffix_table_matches_definition() -> None:
     assert finite > 5000
 
 
-def _msets(digits: tuple[int, ...], m: int) -> list[tuple[int, int]]:
-    """(min, max) of every monochromatic m-set's shape, by counting."""
-    n = len(digits)
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if digits[j - 1] == digits[i - 1]
-        and digits[i - 1 : j].count(digits[i - 1]) >= m
-    ]
-
-
-def _suffix_rows(n: int, spec: ProblemSpec, msets) -> list[list[int]]:
-    """Every row of the suffix table over all pairs: S[s][p] is the largest
-    j - i over the m_s-sets (i, j) with i >= p that a chain of stages
-    s+1..t in [j+1, N] can follow, i.e. S[s+1][j+1] >= j - i (+1 strict)."""
+def _suffix_rows(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
+    """The suffix table from its definition in O(pairs) per stage: the best
+    j - i at each start i over the monochromatic m_s-sets (i, j) that
+    S[s+1][j+1] can follow, then a running max from the right. Positions
+    are read from the digits, not from the coloring's index."""
+    n = c.length
     off = 1 if spec.strict else 0
     rows = [[_NEG] * (n + 3) for _ in range(spec.t + 2)]
     rows[spec.t + 1] = [_POS] * (n + 3)
     for s in range(spec.t, 0, -1):
         row, nxt = rows[s], rows[s + 1]
-        for i, j in msets[spec.sizes[s - 1]]:
-            if nxt[j + 1] >= j - i + off:
-                for p in range(1, i + 1):
-                    row[p] = max(row[p], j - i)
+        m = spec.sizes[s - 1]
+        for k in range(spec.num_colors):
+            L = [p for p, x in enumerate(c.digits, 1) if x == k]
+            for a, i in enumerate(L):
+                for j in L[a + m - 1 :]:
+                    if nxt[j + 1] >= j - i + off:
+                        row[i] = max(row[i], j - i)
+        for p in range(n - 1, 0, -1):
+            row[p] = max(row[p], row[p + 1])
     return rows
 
 
@@ -284,13 +279,53 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
     for n in range(1, 11):
         for digits in _relabelings_apart(r, n):
             c = Coloring(digits, r)
-            msets = {m: _msets(digits, m) for m in (2, 3)}
             for spec in specs:
                 S = _suffix_table(c, spec)
-                ref = _suffix_rows(n, spec, msets)
-                assert S[1:] == ref[1:], (digits, spec)
+                assert S[1:] == _suffix_rows(c, spec)[1:], (digits, spec)
                 finite += S[1][1] != _NEG
     assert finite > 1000
+
+
+def _long_cases():
+    """Long colorings with few runs, whose rows end in long _NEG tails:
+    the constructions for m = 2..16 (both families), both one-position
+    extensions, seeded flips of 1-3 positions, each strict and not, and
+    3-colorings built from runs."""
+    rng = random.Random(1407)
+    for m in range(2, 17):
+        for general in (False, True):
+            base = lower_bound_coloring(m, force_general=general)
+            flips = []
+            for _ in range(3):
+                digits = list(base.digits)
+                for p in rng.sample(range(base.length), rng.randint(1, 3)):
+                    digits[p] = 1 - digits[p]
+                flips.append(Coloring(digits, 2))
+            for c in (base, base.extended(0), base.extended(1), *flips):
+                for strict in (False, True):
+                    yield c, ProblemSpec((m, m, m), 2, strict)
+    for sizes in ((3, 4, 2), (5, 2, 3, 2), (2, 6)):
+        for _ in range(4):
+            runs = [(rng.randrange(3), rng.randint(1, 9)) for _ in range(14)]
+            c = Coloring._from_runs(runs, 3)
+            for strict in (False, True):
+                yield c, ProblemSpec(sizes, 3, strict)
+
+
+def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
+    """Every row on colorings up to N = 133, where much of each row lies
+    past its stage's live limit: each sweep starts at the limit the later
+    stage leaves, so a limit or a pointer start one too low shows here."""
+    cases = dead = cells = 0
+    for c, spec in _long_cases():
+        S = _suffix_table(c, spec)
+        assert S[1:] == _suffix_rows(c, spec)[1:], (c, spec)
+        for s in range(1, spec.t + 1):
+            dead += S[s][1 : c.length + 1].count(_NEG)
+        cells += spec.t * c.length
+        cases += 1
+    assert cases == 384
+    assert dead > cells // 4
 
 
 def test_three_routes_agree_on_random_specs() -> None:

@@ -313,6 +313,18 @@ def test_exit_2_on_bad_sizes(capsys) -> None:
     )
 
 
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_exit_2_on_compute_without_closed_form_or_cap(
+    capsys, flag: list[str]
+) -> None:
+    """The CLI names its own --cap option, not the library's n_cap field."""
+    code, out, err = run(
+        capsys, "compute", "--sizes", "2,2", "--colors", "2", "--strict", *flag
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no closed form known for f*(2,2;2); pass --cap\n"
+
+
 def test_exit_2_on_non_ascii_digit(capsys) -> None:
     code, out, err = run(
         capsys, "verify", "--string", "\u00b2", "--sizes", "2,2", "--colors", "2"

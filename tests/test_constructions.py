@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from diam_ramsey import (
+    Coloring,
+    IncrementalState,
     ProblemSpec,
     exists_solution,
     format_run_string,
     formula_f_mmm2,
     lower_bound_coloring,
     lower_bound_runs,
+    validate_witness,
     verify_avoiding,
 )
 
@@ -77,6 +82,32 @@ def test_extensions_force_solution_small_range() -> None:
             assert exists_solution(c.extended(color), spec) is not None, (
                 m, color,
             )
+
+
+def test_flips_and_their_extensions_agree_with_a_replay() -> None:
+    """Long colorings near the constructions, m up to 120: the suffix DP's
+    verdict equals an incremental replay, and every witness validates."""
+    rng = random.Random(5122)
+    found = avoided = 0
+    for _ in range(40):
+        m = rng.randint(2, 120)
+        digits = list(lower_bound_coloring(m).digits)
+        for p in rng.sample(range(len(digits)), rng.randint(1, 3)):
+            digits[p] = 1 - digits[p]
+        flip = Coloring(digits, 2)
+        spec = ProblemSpec((m, m, m), 2, rng.random() < 0.5)
+        for c in (flip, flip.extended(0), flip.extended(1)):
+            w = exists_solution(c, spec)
+            state = IncrementalState(spec)
+            assert (w is None) == (not any(map(state.extend, c.digits))), (
+                m, spec.strict, format_run_string(c),
+            )
+            if w is None:
+                avoided += 1
+            else:
+                validate_witness(w, c, spec)
+                found += 1
+    assert (found, avoided) == (117, 3)
 
 
 def test_verify_reports_witness_when_not_avoiding() -> None:

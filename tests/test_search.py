@@ -68,8 +68,9 @@ def test_compute_small_values() -> None:
 
 def test_compute_strict_needs_explicit_cap() -> None:
     spec = ProblemSpec((2, 2), 2, strict=True)
-    with pytest.raises(ValueError):
-        compute_f(spec)  # no closed form to derive a cap from
+    # no closed form to derive a cap from; the library names its own field
+    with pytest.raises(ValueError, match=r"supply SearchConfig\.n_cap$"):
+        compute_f(spec)
     r = compute_f(spec, SearchConfig(n_cap=12))
     assert r.f_value == 9
 
