@@ -60,6 +60,12 @@ _POS = 1 << 40
 DEFAULT_ORACLE_CAP = 20
 
 
+def _require_int(value: object, name: str) -> None:
+    """Raise ValueError unless value is an int."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """The problem instance: set sizes, color count, and diameter mode.
@@ -77,8 +83,10 @@ class ProblemSpec:
         if len(self.sizes) < 1:
             raise ValueError("need at least one set size")
         for m in self.sizes:
+            _require_int(m, "set size")
             if m < 2:
                 raise ValueError(f"set sizes must be at least 2, got {m}")
+        _require_int(self.num_colors, "num_colors")
         if self.num_colors < 2:
             raise ValueError(f"need at least 2 colors, got {self.num_colors}")
 
@@ -327,20 +335,19 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
 # brute-force reference oracle
 # ======================================================================
 
-def brute_force_exists(
-    c: Coloring, spec: ProblemSpec, cap: int = DEFAULT_ORACLE_CAP
-) -> Witness | None:
+def brute_force_exists(c: Coloring, spec: ProblemSpec) -> Witness | None:
     """Existence by direct backtracking over candidate chains.
 
-    Intended for testing only: refuses colorings longer than `cap`. Each
-    candidate set is described by its (min, max, color) triple, which is
-    lossless for existence since any monochromatic m-set shrinks to one
-    with the same min, max, and color. The returned witness is the first
-    one found in scan order, with no canonicality promise.
+    Intended for testing only: raises OracleCapError on colorings longer
+    than DEFAULT_ORACLE_CAP. Each candidate set is described by its (min,
+    max, color) triple, which is lossless for existence since any
+    monochromatic m-set shrinks to one with the same min, max, and color.
+    The returned witness is the first one found in scan order, with no
+    canonicality promise.
     """
-    if c.length > cap:
+    if c.length > DEFAULT_ORACLE_CAP:
         raise OracleCapError(
-            f"oracle capped at N <= {cap}, got N = {c.length}"
+            f"oracle capped at N <= {DEFAULT_ORACLE_CAP}, got N = {c.length}"
         )
     if c.num_colors != spec.num_colors:
         raise ValueError(
@@ -408,12 +415,11 @@ class IncrementalState:
     """
 
     __slots__ = (
-        "spec", "_r", "_t", "_sizes", "_off",
+        "_r", "_t", "_sizes", "_off",
         "_digits", "_pos", "_m", "_first_finite", "_k",
     )
 
     def __init__(self, spec: ProblemSpec) -> None:
-        self.spec = spec
         self._r = spec.num_colors
         self._t = spec.t
         self._sizes = spec.sizes

@@ -255,7 +255,7 @@ def _parse_error(s: str, start: int, end: int, message: str) -> ColoringParseErr
     return ColoringParseError(message, token=s[start:end], offset=start)
 
 
-def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
+def parse_run_string(s: str, num_colors: int) -> Coloring:
     """Parse run-length notation like "0^210^3" into a Coloring.
 
     A token is one run: a color digit with an optional exponent ("1",
@@ -269,10 +269,6 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
       001000 (the 1 after ^2 is a color) while "0^12" is twelve zeros
       (the 2 cannot be a color, so it extends the exponent).
 
-    When `num_colors` is omitted it is inferred as one more than the
-    largest digit present, floored at 2; bare exponents are then a single
-    digit, since any digit could be a color.
-
     Raises:
         ColoringParseError: on a malformed token, a zero exponent, a digit
             outside 0..num_colors-1, or an empty string; the error carries
@@ -280,7 +276,7 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
             read so far or the one character that cannot start it) and the
             offset where that slice starts.
     """
-    if num_colors is not None and not 2 <= num_colors <= MAX_CODEC_COLORS:
+    if not 2 <= num_colors <= MAX_CODEC_COLORS:
         raise _parse_error(
             s, 0, 8,
             f"codec supports 2..{MAX_CODEC_COLORS} colors, got {num_colors}",
@@ -303,7 +299,7 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
             if i < n and s[i] == "{":
                 j = s.find("}", i + 1)
                 if j < 0:
-                    raise _parse_error(s, start, start + 4, "unclosed '{' in exponent")
+                    raise _parse_error(s, start, n, "unclosed '{' in exponent")
                 body = s[i + 1 : j]
                 if not _is_digits(body):
                     raise _parse_error(
@@ -315,18 +311,13 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
                 if i == n or not _is_digits(s[i]):
                     raise _parse_error(s, start, i, "exponent missing after '^'")
                 j = i + 1
-                while (
-                    num_colors is not None
-                    and j < n
-                    and _is_digits(s[j])
-                    and int(s[j]) >= num_colors
-                ):
+                while j < n and _is_digits(s[j]) and int(s[j]) >= num_colors:
                     j += 1
                 count = int(s[i:j])
                 i = j
             if count == 0:
                 raise _parse_error(s, start, i, "run length must be at least 1")
-        if num_colors is not None and color >= num_colors:
+        if color >= num_colors:
             raise _parse_error(
                 s, start, i,
                 f"color digit {color} out of range 0..{num_colors - 1}",
@@ -334,8 +325,6 @@ def parse_run_string(s: str, num_colors: int | None = None) -> Coloring:
         runs.append((color, count))
     if not runs:
         raise _parse_error(s, 0, n, "empty coloring string")
-    if num_colors is None:
-        num_colors = max(2, max(color for color, _k in runs) + 1)
     return Coloring._from_runs(runs, num_colors)
 
 
@@ -351,8 +340,9 @@ def _require_codec(num_colors: int) -> None:
 def format_run_string(c: Coloring) -> str:
     """Canonical run-length form: maximal runs, ^k only for k >= 2.
 
-    Runs of 10 or more use the braced exponent ("1^{13}") so the output
-    re-parses identically with or without an explicit color count.
+    Runs of 10 or more use the braced exponent ("1^{13}"): a bare "1^13"
+    is thirteen 1s at up to three colors but a 1 then a 3 at four or
+    more, and the output must re-parse the same way at every color count.
     """
     _require_codec(c.num_colors)
     parts: list[str] = []

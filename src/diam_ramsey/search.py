@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from itertools import permutations
 from multiprocessing import Pool
 
-from .checker import IncrementalState, ProblemSpec, exists_solution
+from .checker import IncrementalState, ProblemSpec, _require_int, exists_solution
 from .coloring import Coloring, format_run_string
 from .errors import FormulaContradictedError, SearchBudgetError
 
@@ -67,6 +67,9 @@ class SearchConfig:
     max_nodes: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_cap", "worker_count", "max_nodes"):
+            if getattr(self, name) is not None:
+                _require_int(getattr(self, name), name)
         if self.n_cap is not None and self.n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {self.n_cap}")
         if self.mode not in _CERT_CAP:
@@ -333,20 +336,17 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     )
 
 
-def enumerate_avoiding(
-    spec: ProblemSpec, length: int, limit: int | None = None
-) -> list[Coloring]:
-    """Avoiding colorings of exactly the given length, lexicographically.
+def enumerate_avoiding(spec: ProblemSpec, length: int) -> list[Coloring]:
+    """All avoiding colorings of exactly the given length, lexicographically.
 
-    Returns at most `limit` colorings (all of them when limit is None):
-    the images of compute_f's certificates at n_cap=length, the least
-    member of each color-permutation orbit, under every injection of their
-    colors into 0..r-1. Raises FormulaContradictedError as compute_f does.
+    They are the images of compute_f's certificates at n_cap=length, the
+    least member of each color-permutation orbit, under every injection of
+    their colors into 0..r-1. The walk is a full one however many of them
+    a caller keeps. Raises FormulaContradictedError as compute_f does.
     """
+    _require_int(length, "length")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     r = spec.num_colors
     res = compute_f(spec, SearchConfig(n_cap=length, mode="all_certificates"))
     if not res.inconclusive:
@@ -356,4 +356,4 @@ def enumerate_avoiding(
         for rep in res.certificates
         for image in permutations(range(r), max(rep) + 1)
     )
-    return [Coloring(t, r) for t in found[:limit]]
+    return [Coloring(t, r) for t in found]

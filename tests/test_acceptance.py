@@ -90,7 +90,7 @@ def test_criterion_4_four_colors() -> None:
     if r.inconclusive:
         pytest.fail(f"inconclusive at cap {r.n_cap}; expected exact 15")
     assert r.f_value == 15
-    found = enumerate_avoiding(ProblemSpec((2, 2), 4), 14, limit=1)
+    found = enumerate_avoiding(ProblemSpec((2, 2), 4), 14)[:1]
     assert len(found) == 1
     assert exists_solution(found[0], ProblemSpec((2, 2), 4)) is None
     print("PASS criterion 4: f(2,2;4) = 15 exact; avoiding coloring "

@@ -403,11 +403,10 @@ def test_least_set_against_bruteforce() -> None:
 # ======================================================================
 
 def test_brute_oracle_cap() -> None:
-    c = Coloring([0] * 21, 2)
-    with pytest.raises(OracleCapError):
-        brute_force_exists(c, ProblemSpec((2, 2), 2))
-    # explicit larger cap is allowed
-    assert brute_force_exists(c, ProblemSpec((2, 2), 2), cap=21) is not None
+    spec = ProblemSpec((2, 2), 2)
+    assert brute_force_exists(Coloring([0] * 20, 2), spec) is not None
+    with pytest.raises(OracleCapError, match="N <= 20, got N = 21"):
+        brute_force_exists(Coloring([0] * 21, 2), spec)
 
 
 def test_brute_witness_validates() -> None:

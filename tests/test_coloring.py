@@ -216,14 +216,14 @@ def test_intset_invariants() -> None:
 def test_parse_glossary_example() -> None:
     # 0^210^3 denotes 001000: the exponent stops at the color digit 1.
     assert parse_run_string("0^210^3", 2).digits == (0, 0, 1, 0, 0, 0)
-    assert parse_run_string("0^210^3").digits == (0, 0, 1, 0, 0, 0)
+    assert parse_run_string("0^210^3", 3).digits == (0, 0, 1, 0, 0, 0)
 
 
 def test_parse_bare_exponent_swallows_non_colors() -> None:
     # With two colors the digit 2 cannot start a run, so 0^12 is twelve 0s.
     assert parse_run_string("0^12", 2).digits == (0,) * 12
-    # Without a declared palette the 2 reads as a color.
-    c = parse_run_string("0^12")
+    # With three colors the 2 reads as a color.
+    c = parse_run_string("0^12", 3)
     assert c.digits == (0, 2) and c.num_colors == 3
 
 
@@ -233,9 +233,10 @@ def test_parse_braced_exponent() -> None:
 
 
 def test_parse_whitespace_and_inference() -> None:
+    """The palette is the one given, never inferred from the digits."""
     assert parse_run_string(" 0^2 1 0^3 ", 2).digits == (0, 0, 1, 0, 0, 0)
-    assert parse_run_string("01").num_colors == 2
-    assert parse_run_string("012").num_colors == 3
+    assert parse_run_string("01", 3).num_colors == 3
+    assert parse_run_string("0", 10).num_colors == 10
 
 
 # (input, palette, message, token, offset): every error kind the parser has
@@ -244,6 +245,7 @@ PARSE_ERRORS = [
     ("0^", 2, "exponent missing after '^'", "0^", 0),
     ("0^x", 2, "exponent missing after '^'", "0^", 0),
     ("0^{", 2, "unclosed '{' in exponent", "0^{", 0),
+    ("1 0^{123", 2, "unclosed '{' in exponent", "0^{123", 2),
     ("0^{}", 2, "braced exponent must be digits", "0^{}", 0),
     ("0^{a}", 2, "braced exponent must be digits", "0^{a}", 0),
     ("0^0", 2, "run length must be at least 1", "0^0", 0),
@@ -255,8 +257,8 @@ PARSE_ERRORS = [
     ("\u00b2", 2, "expected a color digit", "\u00b2", 0),
     ("0^\u00b2", 2, "exponent missing after '^'", "0^", 0),
     ("0^1\u00b2", 2, "expected a color digit", "\u00b2", 3),
-    ("\u0663", None, "expected a color digit", "\u0663", 0),
-    ("0^{\u0663}", None, "braced exponent must be digits", "0^{\u0663}", 0),
+    ("\u0663", 2, "expected a color digit", "\u0663", 0),
+    ("0^{\u0663}", 2, "braced exponent must be digits", "0^{\u0663}", 0),
     ("0^1\u0663", 2, "expected a color digit", "\u0663", 3),
 ]
 
@@ -267,7 +269,7 @@ PARSE_ERRORS = [
     ids=[f"{s or 'empty'}-{r}" for s, r, *_ in PARSE_ERRORS],
 )
 def test_parse_errors_carry_token_and_offset(
-    s: str, num_colors: int | None, message: str, token: str, offset: int
+    s: str, num_colors: int, message: str, token: str, offset: int
 ) -> None:
     with pytest.raises(ColoringParseError) as exc:
         parse_run_string(s, num_colors)
@@ -279,7 +281,7 @@ def test_parse_errors_carry_token_and_offset(
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(
     st.text(alphabet="0123456789^{} x", max_size=12),
-    st.sampled_from([None, *range(1, 13)]),
+    st.sampled_from(range(1, 13)),
 )
 def test_parse_error_token_sits_at_its_offset(s: str, num_colors) -> None:
     try:
@@ -302,6 +304,6 @@ def test_codec_roundtrip_random() -> None:
         c = Coloring([rng.randrange(r) for _ in range(n)], r)
         s = format_run_string(c)
         assert parse_run_string(s, r) == c
-        # inference agrees whenever every color is actually used
-        if len(set(c.digits)) == r or (r == 2 and max(c.digits, default=0) <= 1):
-            assert parse_run_string(s) == c
+        # the same digits under every larger palette the codec takes
+        for wider in range(r + 1, 11):
+            assert parse_run_string(s, wider).digits == c.digits

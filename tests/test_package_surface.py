@@ -2,13 +2,14 @@
 
 The package namespace is built from the modules' own __all__ lists, and
 the errors cross process boundaries by pickling when a search or sweep
-runs on more than one worker. These tests fix both: the exact public
-names, and for each error its message, its fields and its pickle round
-trip.
+runs on more than one worker. These tests fix the exact public names,
+every public callable's parameters, and for each error its message, its
+fields and its pickle round trip.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 from collections import Counter
 
@@ -77,6 +78,69 @@ def test_public_names_are_pinned() -> None:
     assert sorted(diam_ramsey.__all__) == _PUBLIC
     for name in _PUBLIC:
         assert getattr(diam_ramsey, name) is not None
+
+
+# Every public callable's parameters, defaults included; a class's are its
+# __init__'s. An option added or removed has to change this table.
+_SIGNATURES = {
+    "Coloring": "digits, num_colors",
+    "ColoringParseError": "message, **fields",
+    "DiamRamseyError": "message, **fields",
+    "ExtremalB1": "b1, color_c1, beta, alpha",
+    "FlaggedStateError": "message, **fields",
+    "FormulaContradictedError": "message, **fields",
+    "IncrementalState": "spec",
+    "IntSet": "elements",
+    "Lemma21Case": "case_tag, mask, mu, nu, h_strings",
+    "Lemma22Finding":
+        "branch, d1=None, d2=None, a1=None, a2=None, a3=None, case=None",
+    "LemmaSweepReport": "m, total, case_counts, branch_counts, ties=0",
+    "LemmaViolationError": "message, **fields",
+    "OracleCapError": "message, **fields",
+    "ProblemSpec": "sizes, num_colors, strict=False",
+    "SearchBudgetError": "message, **fields",
+    "SearchConfig":
+        "n_cap=None, mode='one_certificate', worker_count=1, max_nodes=None",
+    "SearchResult": "spec, f_value, inconclusive, n_cap, certificates, stats",
+    "SearchStats": "nodes_expanded, max_depth, wall_time, worker_count",
+    "VerificationReport": "avoids, witness, length, spec",
+    "Witness": "sets, colors",
+    "brute_force_exists": "c, spec",
+    "check_lemma22": "c, m",
+    "classify_lemma21": "c, b1",
+    "compute_f": "spec, config=None",
+    "enumerate_avoiding": "spec, length",
+    "exists_solution": "c, spec",
+    "find_extremal_b1": "c, m",
+    "format_run_string": "c",
+    "formula_f_mmm2": "m",
+    "known_value": "spec",
+    "lower_bound_coloring": "m, force_general=False",
+    "lower_bound_runs": "m, force_general=False",
+    "parse_run_string": "s, num_colors",
+    "sweep_lemmas": "m, workers=1",
+    "validate_witness": "w, c, spec",
+    "verify_avoiding": "c, spec",
+}
+
+
+def _parameters(obj) -> str:
+    """obj's parameters as "a, b=1, **c": names, defaults and stars."""
+    out = []
+    for p in inspect.signature(obj).parameters.values():
+        star = {p.VAR_POSITIONAL: "*", p.VAR_KEYWORD: "**"}.get(p.kind, "")
+        default = "" if p.default is p.empty else f"={p.default!r}"
+        out.append(f"{star}{p.name}{default}")
+    return ", ".join(out)
+
+
+def test_public_signatures_are_pinned() -> None:
+    public = [getattr(diam_ramsey, name) for name in _PUBLIC]
+    assert {
+        name: _parameters(obj)
+        for name, obj in zip(_PUBLIC, public)
+        if callable(obj)
+    } == _SIGNATURES
 
 
 def test_no_name_is_exported_by_two_modules() -> None:
