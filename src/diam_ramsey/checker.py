@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .coloring import Coloring, IntSet
+from .coloring import Coloring, IntSet, _require_int
 from .errors import FlaggedStateError, OracleCapError
 
 __all__ = [
@@ -58,12 +58,6 @@ _NEG = -(1 << 40)
 _POS = 1 << 40
 
 DEFAULT_ORACLE_CAP = 20
-
-
-def _require_int(value: object, name: str) -> None:
-    """Raise ValueError unless value is an int."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,9 @@ def _members(c: Coloring, i: int, e: int, m: int) -> IntSet:
     """The m-set with min i and max e, which share a color with at least m
     of its positions in [i, e]: i, the next m-2 from i's rank in c, e."""
     a = c._rank[i]
-    return IntSet(c.positions_of(c.digits[i - 1])[a : a + m - 1] + (e,))
+    return IntSet._from_sorted(
+        c.positions_of(c.digits[i - 1])[a : a + m - 1] + (e,)
+    )
 
 
 def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:

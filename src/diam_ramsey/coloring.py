@@ -167,9 +167,16 @@ class Coloring:
         return f"Coloring({body}, num_colors={self._num_colors})"
 
 
+def _require_int(value: object, name: str) -> None:
+    """Raise ValueError unless value is an int."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_shape(n: int, num_colors: int) -> None:
     """Raise ValueError unless n positions and num_colors colors can form
     a coloring."""
+    _require_int(num_colors, "num_colors")
     if not n:
         raise ValueError("coloring must cover at least one position")
     if num_colors < 2:
@@ -191,7 +198,13 @@ def _row(table: list, color: object, p: int):
 
 
 class IntSet:
-    """An immutable set of distinct positive integers, kept sorted."""
+    """An immutable set of distinct positive integers, kept sorted.
+
+    IntSet(elements) sorts and checks its elements. IntSet._from_sorted
+    takes a tuple that is already sorted, distinct and positive, such as a
+    slice of Coloring.positions_of, and checks nothing: a caller that
+    cannot promise all three must use IntSet(...).
+    """
 
     __slots__ = ("_elems",)
 
@@ -207,6 +220,13 @@ class IntSet:
                 raise ValueError(f"duplicate element {x}")
             prev = x
         self._elems = elems
+
+    @classmethod
+    def _from_sorted(cls, elems: tuple[int, ...]) -> "IntSet":
+        """The IntSet of a tuple already sorted, distinct and positive."""
+        self = object.__new__(cls)
+        self._elems = elems
+        return self
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -275,7 +295,9 @@ def parse_run_string(s: str, num_colors: int) -> Coloring:
             the offending slice of s as its token (in a bad run, the run
             read so far or the one character that cannot start it) and the
             offset where that slice starts.
+        ValueError: num_colors is not an integer.
     """
+    _require_int(num_colors, "num_colors")
     if not 2 <= num_colors <= MAX_CODEC_COLORS:
         raise _parse_error(
             s, 0, 8,

@@ -15,6 +15,14 @@ constrained:
 The validators either produce the promised structure or raise
 LemmaViolationError, so sweeping all 2^(3m-2) colorings machine-checks
 both statements. Case frequencies from the sweeps feed the CLI histogram.
+
+The public functions check their arguments and raise ValueError on a bad
+one: find_extremal_b1 and check_lemma22 check the window (an integer
+m >= 2 and a 2-coloring of length 3m-2), classify_lemma21 also checks
+that b1 describes a big set of the coloring, and sweep_lemmas checks m
+and workers. The private _extremal and _classify trust their caller for
+those facts. check_lemma22 checks its window once and calls them, so the
+big set it classifies is the one the extremal search built.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import asdict, dataclass
 from itertools import islice, product
 
 from .checker import _least_set, _members
-from .coloring import Coloring, IntSet, format_run_string
+from .coloring import Coloring, IntSet, _require_int, format_run_string
 from .errors import LemmaViolationError
 from .search import _job_results
 
@@ -93,6 +101,7 @@ class Lemma22Finding:
 
 
 def _require_window(c: Coloring, m: int) -> None:
+    _require_int(m, "m")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if c.num_colors != 2:
@@ -111,6 +120,11 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     then the smallest positions of its color, then its maximum.
     """
     _require_window(c, m)
+    return _extremal(c, m)
+
+
+def _extremal(c: Coloring, m: int) -> ExtremalB1 | None:
+    """find_extremal_b1 on a window _require_window accepted."""
     found = _least_set(c, m, 1, 2 * m - 2)
     if found is None:
         return None
@@ -227,7 +241,16 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
         and {digits[x - 1] for x in members} == {k}
     ):
         raise ValueError(f"{b1} does not describe a big set of {c!r}")
-    s = _frame(c, m, beta, k)
+    return _classify(c, b1)
+
+
+def _classify(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
+    """classify_lemma21 on a window _require_window accepted, for a b1 that
+    describes a big set of c. On no match it still tells a b1 that is not
+    extremal (ValueError) from a lemma violation."""
+    m = len(b1.b1)
+    beta, alpha = b1.beta, b1.alpha
+    s = _frame(c, m, beta, b1.color_c1)
     found = {
         "i": _match_case_i(s, m, beta, alpha),
         "ii": _match_case_ii(s, m, beta, alpha),
@@ -235,7 +258,7 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
     }
     mask = tuple(tag for tag, match in found.items() if match)
     if not mask:
-        if _least_set(c, m, 1, 2 * m - 2)[:2] != (hi, lo):
+        if _least_set(c, m, 1, 2 * m - 2)[:2] != (b1.b1.max, b1.b1.min):
             raise ValueError(f"{b1} is not the extremal big set of {c!r}")
         raise LemmaViolationError(
             f"no structural case matches {format_run_string(c)} "
@@ -272,7 +295,7 @@ def _min_diam_mset(
     if best is None:
         return None
     d, _mx, k, a = best
-    return IntSet(c.positions_of(k)[a : a + m]), d
+    return IntSet._from_sorted(c.positions_of(k)[a : a + m]), d
 
 
 def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
@@ -285,7 +308,7 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     full case mask.
     """
     _require_window(c, m)
-    ext = find_extremal_b1(c, m)
+    ext = _extremal(c, m)
     if ext is None:
         # A constant run of length m is exactly an m-set of diameter m-1,
         # and the earliest one has the least max.
@@ -301,7 +324,7 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
             )
         return Lemma22Finding(branch="no_big_set", d1=d1[0], d2=d2[0])
 
-    case = classify_lemma21(c, ext)
+    case = _classify(c, ext)
     alpha, beta = ext.alpha, ext.beta
     limit = 3 * m - 2 - alpha - beta
     bound_a1 = 2 * m - 2 - alpha
@@ -377,6 +400,8 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
     returned report therefore certifies zero violations and carries the
     case and branch frequencies.
     """
+    _require_int(m, "m")
+    _require_int(workers, "workers")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if workers < 1:

@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 from itertools import permutations
 from multiprocessing import Pool
 
-from .checker import IncrementalState, ProblemSpec, _require_int, exists_solution
-from .coloring import Coloring, format_run_string
+from .checker import IncrementalState, ProblemSpec, exists_solution
+from .coloring import Coloring, _require_int, format_run_string
 from .errors import FormulaContradictedError, SearchBudgetError
 
 __all__ = [
@@ -129,6 +129,7 @@ class SearchResult:
 
 def formula_f_mmm2(m: int) -> int:
     """Closed form for f(m,m,m;2): 8m-5+floor((2m-2)/3), plus 1 at m in {2,5}."""
+    _require_int(m, "m")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     return 8 * m - 5 + (2 * m - 2) // 3 + (1 if m in (2, 5) else 0)

@@ -330,7 +330,8 @@ def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
 
 def test_three_routes_agree_on_random_specs() -> None:
     """Suffix DP, brute oracle and an incremental replay on unequal sizes,
-    t = 1..4, r = 2..5, strict and not; every witness validates."""
+    t = 1..4, r = 2..5, strict and not; every witness validates, and its
+    sets are sorted and distinct as IntSet(...) would make them."""
     rng = random.Random(8086)
     found = 0
     for _ in range(3000):
@@ -343,6 +344,7 @@ def test_three_routes_agree_on_random_specs() -> None:
         for w in (got, ref):
             if w is not None:
                 validate_witness(w, c, spec)
+                assert all(s == IntSet(s.elements) for s in w.sets)
         found += got is not None
     assert 300 < found < 2700
 

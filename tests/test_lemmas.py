@@ -278,18 +278,25 @@ def test_lemma22_violation_is_loud(monkeypatch) -> None:
 
 
 def test_lemma22_diameter_bounds_hold_exhaustive() -> None:
-    """Every promised set respects its stated diameter bound."""
-    for m in (2, 3):
+    """Every promised set respects its stated diameter bound, is sorted as
+    IntSet(...) would sort it, and check_lemma22 reads the same case as
+    the public find_extremal_b1 and classify_lemma21."""
+    for m in (2, 3, 4, 5):
         n = 3 * m - 2
         for bits in range(1 << n):
             c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
             finding = check_lemma22(c, m)
+            ext = find_extremal_b1(c, m)
+            assert finding.case == (
+                None if ext is None else classify_lemma21(c, ext)
+            )
+            for s in (finding.d1, finding.d2, finding.a1, finding.a2, finding.a3):
+                assert s is None or s == IntSet(s.elements)
             if finding.branch == "no_big_set":
                 assert finding.d1.max - finding.d1.min == m - 1
                 assert finding.d2.max - finding.d2.min == m - 1
                 assert finding.d1.max < finding.d2.min
             else:
-                ext = find_extremal_b1(c, m)
                 a, b = ext.alpha, ext.beta
                 assert finding.a1.max <= 3 * m - 2 - a - b
                 assert finding.a1.max - finding.a1.min <= 2 * m - 2 - a

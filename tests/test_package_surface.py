@@ -153,7 +153,31 @@ def test_no_name_is_exported_by_two_modules() -> None:
     assert [name for name, k in counts.items() if k > 1] == []
 
 
+# A coloring of [1, 3m-2] for m = 2.
 _LEMMA_COLORING = Coloring([0, 0, 1, 1], 2)
+# A float where a count belongs.
+_FLOAT_COUNTS = {
+    "Coloring": (Coloring, [0, 1], 2.0),
+    "parse_run_string": (diam_ramsey.parse_run_string, "01", 2.0),
+    "parse_run_string-digit": (diam_ramsey.parse_run_string, "3", 2.5),
+    "lower_bound_coloring": (diam_ramsey.lower_bound_coloring, 3.0),
+    "lower_bound_runs": (diam_ramsey.lower_bound_runs, 3.0),
+    "formula_f_mmm2": (diam_ramsey.formula_f_mmm2, 3.0),
+    "sweep_lemmas-m": (diam_ramsey.sweep_lemmas, 2.0),
+    "sweep_lemmas-workers": (diam_ramsey.sweep_lemmas, 2, 1.5),
+    "find_extremal_b1": (diam_ramsey.find_extremal_b1, _LEMMA_COLORING, 2.0),
+    "check_lemma22": (diam_ramsey.check_lemma22, _LEMMA_COLORING, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", _FLOAT_COUNTS.values(), ids=_FLOAT_COUNTS)
+def test_non_integer_counts_raise_value_error(call) -> None:
+    """Not a TypeError from range() and not a float result."""
+    fn, *args = call
+    with pytest.raises(ValueError, match=r"must be an integer, got \d\.\d$"):
+        fn(*args)
+
+
 _ERRORS = [
     (
         ColoringParseError("expected a color digit", token="a", offset=2),
