@@ -295,14 +295,14 @@ def parse_run_string(s: str, num_colors: int) -> Coloring:
             the offending slice of s as its token (in a bad run, the run
             read so far or the one character that cannot start it) and the
             offset where that slice starts.
-        ValueError: num_colors is not an integer.
+        ValueError: num_colors is not an integer, or lies outside
+            2..MAX_CODEC_COLORS; the message names it, as Coloring's and
+            format_run_string's do.
     """
     _require_int(num_colors, "num_colors")
-    if not 2 <= num_colors <= MAX_CODEC_COLORS:
-        raise _parse_error(
-            s, 0, 8,
-            f"codec supports 2..{MAX_CODEC_COLORS} colors, got {num_colors}",
-        )
+    if num_colors < 2:
+        raise ValueError(f"need at least 2 colors, got {num_colors}")
+    _require_codec(num_colors)
     runs: list[tuple[int, int]] = []
     i, n = 0, len(s)
     while i < n:

@@ -20,9 +20,10 @@ The public functions check their arguments and raise ValueError on a bad
 one: find_extremal_b1 and check_lemma22 check the window (an integer
 m >= 2 and a 2-coloring of length 3m-2), classify_lemma21 also checks
 that b1 describes a big set of the coloring, and sweep_lemmas checks m
-and workers. The private _extremal and _classify trust their caller for
-those facts. check_lemma22 checks its window once and calls them, so the
-big set it classifies is the one the extremal search built.
+and workers. The private _classify trusts its caller for those facts and
+takes the big set as the (max, min, color) triple checker._least_set
+returns. check_lemma22 checks its window once and classifies the triple
+the extremal search found, without building the set as an ExtremalB1.
 """
 
 from __future__ import annotations
@@ -120,31 +121,34 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     then the smallest positions of its color, then its maximum.
     """
     _require_window(c, m)
-    return _extremal(c, m)
-
-
-def _extremal(c: Coloring, m: int) -> ExtremalB1 | None:
-    """find_extremal_b1 on a window _require_window accepted."""
     found = _least_set(c, m, 1, 2 * m - 2)
     if found is None:
         return None
     j, i, color = found
+    beta, alpha = _offsets(m, found)
     return ExtremalB1(
-        b1=_members(c, i, j, m),
-        color_c1=color,
-        beta=(3 * m - 2) - j,
-        alpha=(j - i) - (2 * m - 2),
+        b1=_members(c, i, j, m), color_c1=color, beta=beta, alpha=alpha
     )
+
+
+def _offsets(m: int, found: tuple[int, int, int]) -> tuple[int, int]:
+    """(beta, alpha) of the big set with (max, min, color) found."""
+    j, i, _color = found
+    return (3 * m - 2) - j, (j - i) - (2 * m - 2)
 
 
 # ======================================================================
 # case matching (all in the frame where the big set's color reads as 1)
 # ======================================================================
 
+# _FRAMES[k] maps the color bytes 0 and 1 to "1" for color k, else "0".
+_FRAMES = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
+
+
 def _frame(c: Coloring, m: int, beta: int, k: int) -> str:
     """Delta(R) as a digit string with color k relabeled to 1,
     R = [1, 3m-2-beta]."""
-    return "".join("1" if x == k else "0" for x in c.digits[: 3 * m - 2 - beta])
+    return bytes(c.digits[: 3 * m - 2 - beta]).translate(_FRAMES[k]).decode()
 
 
 _Match = tuple[int, int, tuple[tuple[str, str, tuple[int, int]], ...]]
@@ -241,32 +245,36 @@ def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
         and {digits[x - 1] for x in members} == {k}
     ):
         raise ValueError(f"{b1} does not describe a big set of {c!r}")
-    return _classify(c, b1)
+    try:
+        return _classify(c, m, (hi, lo, k))
+    except LemmaViolationError:
+        if _least_set(c, m, 1, 2 * m - 2)[:2] != (hi, lo):
+            raise ValueError(
+                f"{b1} is not the extremal big set of {c!r}"
+            ) from None
+        raise
 
 
-def _classify(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
-    """classify_lemma21 on a window _require_window accepted, for a b1 that
-    describes a big set of c. On no match it still tells a b1 that is not
-    extremal (ValueError) from a lemma violation."""
-    m = len(b1.b1)
-    beta, alpha = b1.beta, b1.alpha
-    s = _frame(c, m, beta, b1.color_c1)
-    found = {
+def _classify(c: Coloring, m: int, found: tuple[int, int, int]) -> Lemma21Case:
+    """classify_lemma21 on a window _require_window accepted, for the big
+    set of c with (max, min, color) found. No match raises
+    LemmaViolationError: the caller vouches that the big set is extremal."""
+    beta, alpha = _offsets(m, found)
+    s = _frame(c, m, beta, found[2])
+    matches = {
         "i": _match_case_i(s, m, beta, alpha),
         "ii": _match_case_ii(s, m, beta, alpha),
         "iii": _match_case_iii(s, m, beta, alpha),
     }
-    mask = tuple(tag for tag, match in found.items() if match)
+    mask = tuple(tag for tag, match in matches.items() if match)
     if not mask:
-        if _least_set(c, m, 1, 2 * m - 2)[:2] != (b1.b1.max, b1.b1.min):
-            raise ValueError(f"{b1} is not the extremal big set of {c!r}")
         raise LemmaViolationError(
             f"no structural case matches {format_run_string(c)} "
             f"(m={m}, beta={beta}, alpha={alpha})",
             coloring=c,
             clause="lemma 2.1: disjunction (i)/(ii)/(iii)",
         )
-    nu, mu, h_strings = found[mask[0]]
+    nu, mu, h_strings = matches[mask[0]]
     return Lemma21Case(
         case_tag=mask[0], mask=mask, mu=mu, nu=nu, h_strings=h_strings
     )
@@ -308,8 +316,8 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     full case mask.
     """
     _require_window(c, m)
-    ext = _extremal(c, m)
-    if ext is None:
+    big = _least_set(c, m, 1, 2 * m - 2)
+    if big is None:
         # A constant run of length m is exactly an m-set of diameter m-1,
         # and the earliest one has the least max.
         n = 3 * m - 2
@@ -324,8 +332,8 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
             )
         return Lemma22Finding(branch="no_big_set", d1=d1[0], d2=d2[0])
 
-    case = _classify(c, ext)
-    alpha, beta = ext.alpha, ext.beta
+    case = _classify(c, m, big)
+    beta, alpha = _offsets(m, big)
     limit = 3 * m - 2 - alpha - beta
     bound_a1 = 2 * m - 2 - alpha
     if "iii" in case.mask or (alpha >= 1 and "ii" in case.mask):

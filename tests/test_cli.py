@@ -379,6 +379,16 @@ def test_exit_2_on_uncodable_certificates_before_search(
     assert err == "error: codec supports at most 10 colors, got 11\n"
 
 
+def test_exit_2_on_verify_past_the_codec_limit(capsys) -> None:
+    """verify cannot read a string over more than 10 colors, and says so
+    in the words compute uses."""
+    code, out, err = run(
+        capsys, "verify", "--string", "01", "--sizes", "2,2", "--colors", "11",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: codec supports at most 10 colors, got 11\n"
+
+
 def test_value_only_runs_past_the_codec_limit(capsys) -> None:
     code, out, _ = run(
         capsys, "compute", "--sizes", "2,2", "--colors", "11", "--cap", "4",

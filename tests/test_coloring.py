@@ -252,7 +252,6 @@ PARSE_ERRORS = [
     ("0^{0}", 2, "run length must be at least 1", "0^{0}", 0),
     ("3", 2, "color digit 3 out of range 0..1", "3", 0),
     ("", 2, "empty coloring string", "", 0),
-    ("01", 12, "codec supports 2..10 colors, got 12", "01", 0),
     # only ASCII 0-9 are digits, though str.isdigit and int() take more
     ("\u00b2", 2, "expected a color digit", "\u00b2", 0),
     ("0^\u00b2", 2, "exponent missing after '^'", "0^", 0),
@@ -278,6 +277,21 @@ def test_parse_errors_carry_token_and_offset(
     assert str(err) == f"{message} (token {token!r} at offset {offset})"
 
 
+@pytest.mark.parametrize("num_colors", [0, 1, 11, 12], ids=lambda r: f"01-{r}")
+def test_parse_names_a_color_count_outside_the_codec(num_colors: int) -> None:
+    """A palette the codec cannot take is a ValueError naming the count,
+    as Coloring and format_run_string raise, not a fault in the string."""
+    with pytest.raises(ValueError) as exc:
+        parse_run_string("01", num_colors)
+    assert not isinstance(exc.value, ColoringParseError)
+    if num_colors < 2:
+        assert str(exc.value) == f"need at least 2 colors, got {num_colors}"
+    else:
+        assert str(exc.value) == (
+            f"codec supports at most 10 colors, got {num_colors}"
+        )
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(
     st.text(alphabet="0123456789^{} x", max_size=12),
@@ -288,6 +302,8 @@ def test_parse_error_token_sits_at_its_offset(s: str, num_colors) -> None:
         parse_run_string(s, num_colors)
     except ColoringParseError as err:
         assert s[err.offset : err.offset + len(err.token)] == err.token
+    except ValueError:
+        assert not 2 <= num_colors <= 10
 
 
 def test_format_maximal_runs() -> None:

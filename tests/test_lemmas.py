@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -234,15 +235,38 @@ def test_classify_rejects_an_inconsistent_frame(b1) -> None:
 
 def test_classify_blames_a_non_extremal_big_set() -> None:
     """A big set that fits its frame but is not extremal matches no case;
-    that is the caller's error, not a lemma violation."""
+    that is the caller's error, not a lemma violation. The message names
+    the caller's set: {1, 5, 7} has the max, min and color of {1, 2, 7},
+    the set those three rebuild to."""
     c = parse_run_string("0^7", 2)
-    b1 = ExtremalB1(IntSet([1, 2, 7]), 0, 0, 2)
-    with pytest.raises(ValueError, match="is not the extremal big set") as exc:
-        classify_lemma21(c, b1)
-    assert not isinstance(exc.value, LemmaViolationError)
+    for members in ([1, 2, 7], [1, 5, 7]):
+        b1 = ExtremalB1(IntSet(members), 0, 0, 2)
+        with pytest.raises(
+            ValueError, match="is not the extremal big set"
+        ) as exc:
+            classify_lemma21(c, b1)
+        assert not isinstance(exc.value, LemmaViolationError)
+        assert repr(IntSet(members)) in str(exc.value)
+    assert "IntSet({1, 5, 7})" in str(exc.value)
     ext = find_extremal_b1(c, 3)
     assert ext == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
     assert classify_lemma21(c, ext).mask
+
+
+def test_frame_matches_its_definition() -> None:
+    """_frame reads Delta on [1, 3m-2-beta] with color k as 1, for every
+    2-coloring, both k and every beta, not only the extremal ones."""
+    for m in (2, 3, 4, 5):
+        n = 3 * m - 2
+        for digits in itertools.product((0, 1), repeat=n):
+            c = Coloring(digits, 2)
+            for k in (0, 1):
+                for beta in range(m):
+                    expected = "".join(
+                        "1" if c.color_at(x) == k else "0"
+                        for x in range(1, n - beta + 1)
+                    )
+                    assert lemmas_mod._frame(c, m, beta, k) == expected
 
 
 # ======================================================================
@@ -307,6 +331,19 @@ def test_lemma22_diameter_bounds_hold_exhaustive() -> None:
                 if finding.a3 is not None:
                     assert finding.a3.max <= m + a + b
                     assert finding.a3.max - finding.a3.min <= m + a + b - 1
+
+
+def test_lemma22_findings_are_pinned() -> None:
+    """Every finding, with its exact d1/d2/a1/a2/a3 sets and case, over all
+    2-colorings for m = 2..5 in lex order: one repr per line, hashed."""
+    digest = hashlib.sha256()
+    for m in (2, 3, 4, 5):
+        for digits in itertools.product((0, 1), repeat=3 * m - 2):
+            finding = check_lemma22(Coloring(digits, 2), m)
+            digest.update(repr(finding).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "4a4453a9b52201daaafd346832c8f7915ed7793a05c0d9e8d2ab19d5ba3a6ece"
+    )
 
 
 # ======================================================================
