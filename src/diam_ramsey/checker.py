@@ -31,7 +31,8 @@ diameters rather than explicit subsets.
 One routine, _least_set, finds the monochromatic m-set of least
 (max, diam) starting at or after a point with at least a given diameter.
 It serves the witness walk of exists_solution (one call per stage, which
-must leave room for the later stages) and lemmas.find_extremal_b1.
+must leave room for the later stages) and the lemma big set of
+lemmas.find_extremal_b1, classify_lemma21 and check_lemma22.
 """
 
 from __future__ import annotations

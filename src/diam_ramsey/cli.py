@@ -191,7 +191,7 @@ def _cmd_check_lemma(args: argparse.Namespace) -> _Outcome:
             result: dict = {"which": "2.1", "big_set": None}
             lines = ["no big set; lemma 2.1 is vacuous here"]
         else:
-            case = classify_lemma21(c, ext)
+            case = classify_lemma21(c, args.m)
             result = {
                 "which": "2.1",
                 "big_set": list(ext.b1.elements),

@@ -209,7 +209,10 @@ class IntSet:
     __slots__ = ("_elems",)
 
     def __init__(self, elements: Iterable[int]) -> None:
-        elems = tuple(sorted(elements))
+        elems = tuple(elements)
+        for x in elems:
+            _require_int(x, "IntSet element")
+        elems = tuple(sorted(elems))
         if not elems:
             raise ValueError("IntSet must be nonempty")
         prev = 0

@@ -17,13 +17,12 @@ LemmaViolationError, so sweeping all 2^(3m-2) colorings machine-checks
 both statements. Case frequencies from the sweeps feed the CLI histogram.
 
 The public functions check their arguments and raise ValueError on a bad
-one: find_extremal_b1 and check_lemma22 check the window (an integer
-m >= 2 and a 2-coloring of length 3m-2), classify_lemma21 also checks
-that b1 describes a big set of the coloring, and sweep_lemmas checks m
-and workers. The private _classify trusts its caller for those facts and
-takes the big set as the (max, min, color) triple checker._least_set
-returns. check_lemma22 checks its window once and classifies the triple
-the extremal search found, without building the set as an ExtremalB1.
+one: find_extremal_b1, classify_lemma21 and check_lemma22 take (c, m)
+and check the window (an integer m >= 2 and a 2-coloring of length
+3m-2), and sweep_lemmas checks m and workers. Each of the three finds
+the big set with checker._least_set. The private _classify trusts its
+caller for the window and takes the big set as the (max, min, color)
+triple _least_set returns; only find_extremal_b1 builds an ExtremalB1.
 """
 
 from __future__ import annotations
@@ -218,41 +217,22 @@ def _match_case_iii(s: str, m: int, beta: int, alpha: int) -> _Match | None:
     return (0, 0, ())
 
 
-def classify_lemma21(c: Coloring, b1: ExtremalB1) -> Lemma21Case:
-    """Match the window of an extremal big set against the three cases.
+def classify_lemma21(c: Coloring, m: int) -> Lemma21Case | None:
+    """Match the window of c's extremal big set against the three cases,
+    or None when c has no big set.
 
-    The frame relabels colors so that b1's color reads as 1. The tag is
-    the first matching case in the order (i), (ii), (iii); the mask lists
-    every match. nu, mu and h_strings come from the matcher that set the
-    tag, at the offsets it tested.
+    The frame relabels colors so that the big set's color reads as 1. The
+    tag is the first matching case in the order (i), (ii), (iii); the mask
+    lists every match. nu, mu and h_strings come from the matcher that set
+    the tag, at the offsets it tested.
 
     Raises:
-        ValueError: b1 is not a big set of c with its color, beta and
-            alpha; or no case matches and b1 is not extremal (another big
-            set has a smaller (max, diam)). Extremality is checked only
-            when no case matches, so a matching window costs nothing more.
-        LemmaViolationError: no case matches an extremal b1. This would
-            falsify the statement being validated and must abort loudly.
+        LemmaViolationError: no case matches. This would falsify the
+            statement being validated and must abort loudly.
     """
-    m = len(b1.b1)
     _require_window(c, m)
-    beta, alpha, k = b1.beta, b1.alpha, b1.color_c1
-    members, digits = b1.b1.elements, c.digits
-    lo, hi = members[0], members[-1]
-    if not (
-        beta >= 0 and alpha >= 0
-        and hi == 3 * m - 2 - beta and hi - lo == 2 * m - 2 + alpha
-        and {digits[x - 1] for x in members} == {k}
-    ):
-        raise ValueError(f"{b1} does not describe a big set of {c!r}")
-    try:
-        return _classify(c, m, (hi, lo, k))
-    except LemmaViolationError:
-        if _least_set(c, m, 1, 2 * m - 2)[:2] != (hi, lo):
-            raise ValueError(
-                f"{b1} is not the extremal big set of {c!r}"
-            ) from None
-        raise
+    big = _least_set(c, m, 1, 2 * m - 2)
+    return None if big is None else _classify(c, m, big)
 
 
 def _classify(c: Coloring, m: int, found: tuple[int, int, int]) -> Lemma21Case:

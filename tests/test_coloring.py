@@ -207,6 +207,9 @@ def test_intset_invariants() -> None:
         IntSet([0, 1])  # positions start at 1
     with pytest.raises(ValueError):
         IntSet([2, 2])
+    for bad in ([2.0, 3], [1.5], ["1"]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            IntSet(bad)
 
 
 # ======================================================================

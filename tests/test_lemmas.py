@@ -43,6 +43,10 @@ def test_extremal_b1_basic() -> None:
     assert ext.b1 == IntSet([1, 3])
     assert ext.color_c1 == 0
     assert (ext.beta, ext.alpha) == (1, 0)
+    # no big set of 0^7 ends before 5, and {1, 2, 5} is the representative
+    c = parse_run_string("0^7", 2)
+    assert find_extremal_b1(c, 3) == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
+    assert classify_lemma21(c, 3).mask
 
 
 def test_extremal_b1_prefers_smaller_diameter() -> None:
@@ -101,7 +105,7 @@ def test_classify_case_ii_all_ones() -> None:
     ext = find_extremal_b1(c, 2)
     assert ext.b1 == IntSet([1, 3])
     assert (ext.beta, ext.alpha) == (1, 0)
-    case = classify_lemma21(c, ext)
+    case = classify_lemma21(c, 2)
     assert case.case_tag == "ii"
     assert case.mask == ("ii", "iii")
     assert case.h_strings == (("H2", "1", (2, 2)),)
@@ -113,7 +117,7 @@ def test_classify_case_i_substrings() -> None:
     assert ext.b1 == IntSet([2, 4, 7])
     assert ext.color_c1 == 1
     assert (ext.beta, ext.alpha) == (0, 1)
-    case = classify_lemma21(c, ext)
+    case = classify_lemma21(c, 3)
     assert case.case_tag == "i"
     assert case.mask == ("i",)
     assert (case.nu, case.mu) == (0, 0)
@@ -122,9 +126,7 @@ def test_classify_case_i_substrings() -> None:
 
 
 def test_classify_case_iii_has_no_substrings() -> None:
-    c = parse_run_string("1101", 2)
-    ext = find_extremal_b1(c, 2)
-    case = classify_lemma21(c, ext)
+    case = classify_lemma21(parse_run_string("1101", 2), 2)
     assert case.case_tag == "iii"
     assert case.mask == ("iii",)
     assert case.h_strings == ()
@@ -146,7 +148,7 @@ def test_classify_h_strings_rebuild_every_frame() -> None:
             frame = "".join(
                 "1" if c.color_at(x) == k else "0" for x in range(1, n - b + 1)
             )
-            case = classify_lemma21(c, ext)
+            case = classify_lemma21(c, m)
             where = (format_run_string(c), m, case)
             for _name, digits, (lo, hi) in case.h_strings:
                 assert hi - lo + 1 == len(digits), where
@@ -197,10 +199,8 @@ EXPECTED_MATCHES = {
 def test_classify_matches_frozen_exhaustive(m: int) -> None:
     tally: Counter = Counter()
     for digits in itertools.product((0, 1), repeat=3 * m - 2):
-        c = Coloring(digits, 2)
-        ext = find_extremal_b1(c, m)
-        if ext is not None:
-            case = classify_lemma21(c, ext)
+        case = classify_lemma21(Coloring(digits, 2), m)
+        if case is not None:
             tally[(case.case_tag, case.mask, case.mu, case.nu)] += 1
     assert tally == EXPECTED_MATCHES[m]
 
@@ -208,49 +208,13 @@ def test_classify_matches_frozen_exhaustive(m: int) -> None:
 def test_classify_violation_is_loud(monkeypatch) -> None:
     """Disable every matcher and expect the alarm, not a quiet miss."""
     c = parse_run_string("1111", 2)
-    ext = find_extremal_b1(c, 2)
     monkeypatch.setattr(lemmas_mod, "_match_case_i", lambda *a: None)
     monkeypatch.setattr(lemmas_mod, "_match_case_ii", lambda *a: False)
     monkeypatch.setattr(lemmas_mod, "_match_case_iii", lambda *a: False)
     with pytest.raises(LemmaViolationError) as exc:
-        classify_lemma21(c, ext)
+        classify_lemma21(c, 2)
     assert "LEMMA VIOLATION" in str(exc.value)
     assert exc.value.coloring == c
-
-
-@pytest.mark.parametrize(
-    "b1",
-    [
-        ExtremalB1(IntSet([1, 2, 7]), 1, 0, 2),  # b1 not of color 1
-        ExtremalB1(IntSet([1, 2, 3]), 0, 2, 1),  # max is not 3m-2-beta
-        ExtremalB1(IntSet([2, 3, 4]), 0, 0, 0),  # neither max nor diam fit
-    ],
-)
-def test_classify_rejects_an_inconsistent_frame(b1) -> None:
-    """A frame that no coloring's big set produces is the caller's error,
-    not a lemma violation and not a case."""
-    with pytest.raises(ValueError, match="does not describe a big set"):
-        classify_lemma21(parse_run_string("0^7", 2), b1)
-
-
-def test_classify_blames_a_non_extremal_big_set() -> None:
-    """A big set that fits its frame but is not extremal matches no case;
-    that is the caller's error, not a lemma violation. The message names
-    the caller's set: {1, 5, 7} has the max, min and color of {1, 2, 7},
-    the set those three rebuild to."""
-    c = parse_run_string("0^7", 2)
-    for members in ([1, 2, 7], [1, 5, 7]):
-        b1 = ExtremalB1(IntSet(members), 0, 0, 2)
-        with pytest.raises(
-            ValueError, match="is not the extremal big set"
-        ) as exc:
-            classify_lemma21(c, b1)
-        assert not isinstance(exc.value, LemmaViolationError)
-        assert repr(IntSet(members)) in str(exc.value)
-    assert "IntSet({1, 5, 7})" in str(exc.value)
-    ext = find_extremal_b1(c, 3)
-    assert ext == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
-    assert classify_lemma21(c, ext).mask
 
 
 def test_frame_matches_its_definition() -> None:
@@ -286,7 +250,7 @@ def test_lemma22_big_set_branch() -> None:
     c = parse_run_string("1101001", 2)
     finding = check_lemma22(c, 3)
     assert finding.branch == "big_set"
-    assert finding.case == classify_lemma21(c, find_extremal_b1(c, 3))
+    assert finding.case == classify_lemma21(c, 3)
     assert finding.a1 == finding.a2
     assert finding.a1 is not None
     # case (i) applies, so the inner window also carries a set
@@ -304,16 +268,15 @@ def test_lemma22_violation_is_loud(monkeypatch) -> None:
 def test_lemma22_diameter_bounds_hold_exhaustive() -> None:
     """Every promised set respects its stated diameter bound, is sorted as
     IntSet(...) would sort it, and check_lemma22 reads the same case as
-    the public find_extremal_b1 and classify_lemma21."""
+    classify_lemma21, which is None exactly when find_extremal_b1 is."""
     for m in (2, 3, 4, 5):
         n = 3 * m - 2
         for bits in range(1 << n):
             c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
             finding = check_lemma22(c, m)
             ext = find_extremal_b1(c, m)
-            assert finding.case == (
-                None if ext is None else classify_lemma21(c, ext)
-            )
+            assert finding.case == classify_lemma21(c, m)
+            assert (finding.case is None) == (ext is None)
             for s in (finding.d1, finding.d2, finding.a1, finding.a2, finding.a3):
                 assert s is None or s == IntSet(s.elements)
             if finding.branch == "no_big_set":

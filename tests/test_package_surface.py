@@ -107,7 +107,7 @@ _SIGNATURES = {
     "Witness": "sets, colors",
     "brute_force_exists": "c, spec",
     "check_lemma22": "c, m",
-    "classify_lemma21": "c, b1",
+    "classify_lemma21": "c, m",
     "compute_f": "spec, config=None",
     "enumerate_avoiding": "spec, length",
     "exists_solution": "c, spec",
@@ -166,6 +166,7 @@ _FLOAT_COUNTS = {
     "sweep_lemmas-m": (diam_ramsey.sweep_lemmas, 2.0),
     "sweep_lemmas-workers": (diam_ramsey.sweep_lemmas, 2, 1.5),
     "find_extremal_b1": (diam_ramsey.find_extremal_b1, _LEMMA_COLORING, 2.0),
+    "classify_lemma21": (diam_ramsey.classify_lemma21, _LEMMA_COLORING, 2.0),
     "check_lemma22": (diam_ramsey.check_lemma22, _LEMMA_COLORING, 2.0),
 }
 
