@@ -43,10 +43,6 @@ def test_extremal_b1_basic() -> None:
     assert ext.b1 == IntSet([1, 3])
     assert ext.color_c1 == 0
     assert (ext.beta, ext.alpha) == (1, 0)
-    # no big set of 0^7 ends before 5, and {1, 2, 5} is the representative
-    c = parse_run_string("0^7", 2)
-    assert find_extremal_b1(c, 3) == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
-    assert classify_lemma21(c, 3).mask
 
 
 def test_extremal_b1_prefers_smaller_diameter() -> None:
@@ -215,6 +211,21 @@ def test_classify_violation_is_loud(monkeypatch) -> None:
         classify_lemma21(c, 2)
     assert "LEMMA VIOLATION" in str(exc.value)
     assert exc.value.coloring == c
+
+
+def test_classify_blames_a_non_extremal_big_set() -> None:
+    """A big set that fits its frame but is not extremal matches no case.
+    classify_lemma21 never sees one: on 0^7 it classifies the extremal
+    {1, 2, 5}, while {1, 2, 7} and {1, 5, 7} (max 7, min 1, color 0,
+    so beta = 0 and alpha = 2) make _classify raise."""
+    c = parse_run_string("0^7", 2)
+    ext = find_extremal_b1(c, 3)
+    assert ext == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
+    case = classify_lemma21(c, 3)
+    assert case.mask
+    assert case == lemmas_mod._classify(c, 3, (5, 1, 0))
+    with pytest.raises(LemmaViolationError, match="beta=0, alpha=2"):
+        lemmas_mod._classify(c, 3, (7, 1, 0))
 
 
 def test_frame_matches_its_definition() -> None:
