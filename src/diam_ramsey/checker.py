@@ -32,7 +32,9 @@ One routine, _least_set, finds the monochromatic m-set of least
 (max, diam) starting at or after a point with at least a given diameter.
 It serves the witness walk of exists_solution (one call per stage, which
 must leave room for the later stages) and the lemma big set of
-lemmas.find_extremal_b1, classify_lemma21 and check_lemma22.
+lemmas.find_extremal_b1, classify_lemma21 and check_lemma22, and of
+lemmas._walk, which calls it on prefixes and hands the set it finds to
+every completion below.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ class Coloring:
         rank = [0]
         try:
             for p, color in enumerate(seq, 1):
-                if not 0 <= color < num_colors:
-                    _row(table, color, p)  # raises: out of range
+                if not 0 <= color < num_colors or color.__class__ is bool:
+                    _row(table, color, p)  # raises: out of range or a bool
                 row = table[color]
                 rank.append(len(row))
                 row.append(p)
@@ -168,8 +168,8 @@ class Coloring:
 
 
 def _require_int(value: object, name: str) -> None:
-    """Raise ValueError unless value is an int."""
-    if not isinstance(value, int):
+    """Raise ValueError unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -186,6 +186,8 @@ def _check_shape(n: int, num_colors: int) -> None:
 def _row(table: list, color: object, p: int):
     """table[color], or the ValueError for color at position p."""
     try:
+        if color.__class__ is bool:  # it indexes, but the codec writes True
+            raise TypeError
         if 0 <= color < len(table):
             return table[color]
     except TypeError:  # the range check admits 1.0; table[1.0] fails

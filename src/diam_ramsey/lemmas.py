@@ -20,9 +20,12 @@ The public functions check their arguments and raise ValueError on a bad
 one: find_extremal_b1, classify_lemma21 and check_lemma22 take (c, m)
 and check the window (an integer m >= 2 and a 2-coloring of length
 3m-2), and sweep_lemmas checks m and workers. Each of the three finds
-the big set with checker._least_set. The private _classify trusts its
-caller for the window and takes the big set as the (max, min, color)
-triple _least_set returns; only find_extremal_b1 builds an ExtremalB1.
+the big set with checker._least_set. The private _classify and
+_check_lemma22 trust their caller for the window and take the big set as
+the (max, min, color) triple _least_set returns; only find_extremal_b1
+builds an ExtremalB1. The sweep walks the colorings depth first
+(_walk), so the big set found on a prefix serves every completion below
+it, and checks each coloring with _check_lemma22.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import islice, product
+from typing import Iterator
 
 from .checker import _least_set, _members
 from .coloring import Coloring, IntSet, _require_int, format_run_string
 from .errors import LemmaViolationError
-from .search import _job_results
+from .search import _SPLIT_DEPTH, _job_results
 
 __all__ = [
     "ExtremalB1",
@@ -296,7 +299,14 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     full case mask.
     """
     _require_window(c, m)
-    big = _least_set(c, m, 1, 2 * m - 2)
+    return _check_lemma22(c, m, _least_set(c, m, 1, 2 * m - 2))
+
+
+def _check_lemma22(
+    c: Coloring, m: int, big: tuple[int, int, int] | None
+) -> Lemma22Finding:
+    """check_lemma22 on a window _require_window accepted, whose big set
+    _least_set(c, m, 1, 2m-2) the caller passes as big."""
     if big is None:
         # A constant run of length m is exactly an m-set of diameter m-1,
         # and the earliest one has the least max.
@@ -369,12 +379,46 @@ class LemmaSweepReport:
         return asdict(self)
 
 
+def _walk(
+    m: int, part: int, parts: int
+) -> Iterator[tuple[Coloring, tuple[int, int, int] | None]]:
+    """(c, _least_set(c, m, 1, 2m-2)) for the 2-colorings c of [1, 3m-2]
+    in part `part` of `parts`, in lex order.
+
+    The walk is depth first, and each child is its prefix's extended(x).
+    The prefixes of length min(3m-2, _SPLIT_DEPTH) are dealt in DFS order,
+    the i-th to part i % parts, as _search_from deals them. The big set's
+    max is the first position where any big set ends, so the shortest
+    prefix that holds a big set already holds the extremal one: a prefix
+    of length >= 2m-1 calls _least_set only while its own prefixes found
+    none, and passes what it finds to every completion below it.
+    """
+    n = 3 * m - 2
+    split = min(n, _SPLIT_DEPTH)
+    dealt = 0
+    stack = [(Coloring((x,), 2), None) for x in (1, 0)]
+    while stack:
+        c, big = stack.pop()
+        p = len(c)
+        if p == split:
+            mine = dealt % parts == part
+            dealt += 1
+            if not mine:
+                continue
+        if big is None and p >= 2 * m - 1:
+            big = _least_set(c, m, 1, 2 * m - 2)
+        if p == n:
+            yield c, big
+        else:
+            stack += ((c.extended(1), big), (c.extended(0), big))
+
+
 def _sweep_range(args: tuple[int, int, int]) -> Counter:
-    """Tags and branches of the lex-ordered colorings part, part + parts, ... ."""
+    """Tags and branches of the colorings _walk(m, part, parts) yields."""
     m, part, parts = args
     tally: Counter = Counter()
-    for digits in islice(product((0, 1), repeat=3 * m - 2), part, None, parts):
-        finding = check_lemma22(Coloring(digits, 2), m)
+    for c, big in _walk(m, part, parts):
+        finding = _check_lemma22(c, m, big)
         case = finding.case
         tally["no_b1" if case is None else case.case_tag] += 1
         tally[finding.branch] += 1

@@ -437,6 +437,20 @@ def test_exit_1_on_lemma_violation(capsys, monkeypatch) -> None:
     assert "LEMMA VIOLATION" in err
 
 
+def test_exit_1_on_lemma_violation_in_the_sweep(capsys, monkeypatch) -> None:
+    import diam_ramsey.lemmas as lemmas_mod
+
+    monkeypatch.setattr(lemmas_mod, "_match_case_i", lambda *a: None)
+    monkeypatch.setattr(lemmas_mod, "_match_case_ii", lambda *a: False)
+    monkeypatch.setattr(lemmas_mod, "_match_case_iii", lambda *a: False)
+    monkeypatch.delenv("DIAM_RAMSEY_WORKERS", raising=False)
+    code, _, err = run(
+        capsys, "check-lemma", "--which", "2.2", "--m", "3", "--exhaustive",
+    )
+    assert code == 1
+    assert "LEMMA VIOLATION" in err
+
+
 def test_module_runs_as_a_process() -> None:
     """`python -m diam_ramsey.cli` exits with main()'s code."""
     src = Path(__file__).resolve().parent.parent / "src"

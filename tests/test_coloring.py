@@ -59,6 +59,14 @@ def test_coloring_rejects_non_integer_colors() -> None:
         Coloring(["1"], 2)
 
 
+def test_coloring_rejects_bool_colors() -> None:
+    """A bool indexes like 0 or 1, but the codec would write it True."""
+    with pytest.raises(ValueError, match="color True at position 1 is not an"):
+        Coloring([True, False, True], 2)
+    with pytest.raises(ValueError, match="color False at position 2 is not an"):
+        Coloring([1, False], 2)
+
+
 def test_rank_indexes_positions_of_each_color() -> None:
     rng = random.Random(4242)
     for r in range(2, 13):
@@ -171,6 +179,8 @@ def test_extended_copies_the_index() -> None:
         ([(0, 0), ("1", 1)], 2),
         ([(0, 0), (1, 0)], 2),  # no positions
         ([(0, 3)], 1),
+        ([(0, 1), (True, 2)], 2),  # a bool
+        ([(False, 1)], 2),
     ],
 )
 def test_runs_build_raises_the_digits_build_errors(runs, num_colors) -> None:
@@ -181,7 +191,7 @@ def test_runs_build_raises_the_digits_build_errors(runs, num_colors) -> None:
     assert str(exc.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("x", [2, -1, 1.0, 0.5, "1", None])
+@pytest.mark.parametrize("x", [2, -1, 1.0, 0.5, "1", None, True, False])
 def test_extended_raises_the_digits_build_errors(x) -> None:
     c = Coloring([0, 1, 1], 2)
     with pytest.raises(ValueError) as expected:
@@ -207,7 +217,7 @@ def test_intset_invariants() -> None:
         IntSet([0, 1])  # positions start at 1
     with pytest.raises(ValueError):
         IntSet([2, 2])
-    for bad in ([2.0, 3], [1.5], ["1"]):
+    for bad in ([2.0, 3], [1.5], ["1"], [True, 2], [False]):
         with pytest.raises(ValueError, match="must be an integer"):
             IntSet(bad)
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import multiprocessing
 from collections import Counter
 
 import pytest
 
 import diam_ramsey.lemmas as lemmas_mod
+import diam_ramsey.search as search_mod
 from diam_ramsey import (
     Coloring,
     ExtremalB1,
@@ -21,6 +23,7 @@ from diam_ramsey import (
     parse_run_string,
     sweep_lemmas,
 )
+from diam_ramsey.checker import _least_set
 
 # Case histograms over all 2^(3m-2) colorings, frozen from an independent
 # prototype sweep. First-match tags in the order (i), (ii), (iii).
@@ -201,12 +204,17 @@ def test_classify_matches_frozen_exhaustive(m: int) -> None:
     assert tally == EXPECTED_MATCHES[m]
 
 
-def test_classify_violation_is_loud(monkeypatch) -> None:
-    """Disable every matcher and expect the alarm, not a quiet miss."""
-    c = parse_run_string("1111", 2)
+def _disable_matchers(monkeypatch) -> None:
+    """Make every lemma 2.1 matcher miss, so each big set is a violation."""
     monkeypatch.setattr(lemmas_mod, "_match_case_i", lambda *a: None)
     monkeypatch.setattr(lemmas_mod, "_match_case_ii", lambda *a: False)
     monkeypatch.setattr(lemmas_mod, "_match_case_iii", lambda *a: False)
+
+
+def test_classify_violation_is_loud(monkeypatch) -> None:
+    """Disable every matcher and expect the alarm, not a quiet miss."""
+    c = parse_run_string("1111", 2)
+    _disable_matchers(monkeypatch)
     with pytest.raises(LemmaViolationError) as exc:
         classify_lemma21(c, 2)
     assert "LEMMA VIOLATION" in str(exc.value)
@@ -332,6 +340,68 @@ def test_sweep_matches_frozen_histograms(m: int) -> None:
     assert report.ties == 0
     assert report.branch_counts["no_big_set"] == EXPECTED_CASES[m]["no_b1"]
     assert sum(report.branch_counts.values()) == report.total
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_walk_carries_each_coloring_its_big_set(m: int) -> None:
+    """The walk yields every coloring once, in lex order, indexed as
+    Coloring(digits, 2) indexes it, with the big set _least_set finds on
+    it, and _check_lemma22 on that set reads as check_lemma22."""
+    n = 3 * m - 2
+    seen = []
+    for c, big in lemmas_mod._walk(m, 0, 1):
+        fresh = Coloring(c.digits, 2)
+        assert (c._positions, c._rank) == (fresh._positions, fresh._rank)
+        assert big == _least_set(c, m, 1, 2 * m - 2)
+        assert repr(lemmas_mod._check_lemma22(c, m, big)) == repr(
+            check_lemma22(c, m)
+        )
+        seen.append(c.digits)
+    assert seen == list(itertools.product((0, 1), repeat=n))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_walk_deals_every_coloring_once(m: int) -> None:
+    """Over the parts of any cut, each coloring comes exactly once, from
+    the part its prefix of the deal depth was dealt to: the i-th prefix in
+    lex order goes to part i % parts. At m <= 4 that prefix is the whole
+    coloring."""
+    n = 3 * m - 2
+    depth = min(n, search_mod._SPLIT_DEPTH)
+    for parts in (1, 2, 3, 5, 8):
+        dealt = Counter()
+        for k in range(parts):
+            for c, _big in lemmas_mod._walk(m, k, parts):
+                prefix = int("".join(map(str, c.digits[:depth])), 2)
+                assert prefix % parts == k, (parts, c)
+                dealt[c.digits] += 1
+        assert sorted(dealt) == list(itertools.product((0, 1), repeat=n))
+        assert set(dealt.values()) == {1}, parts
+
+
+def test_sweep_violation_is_loud(monkeypatch) -> None:
+    _disable_matchers(monkeypatch)
+    with pytest.raises(LemmaViolationError, match="LEMMA VIOLATION"):
+        sweep_lemmas(3)
+
+
+def test_sweep_violation_is_loud_on_two_workers(monkeypatch) -> None:
+    """The violation found in a worker process reaches the caller."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("patched matchers reach the workers only by fork")
+    real_pool = search_mod.Pool
+    opened = []
+
+    def recording_pool(procs):
+        opened.append(procs)
+        return real_pool(procs)
+
+    _disable_matchers(monkeypatch)
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(search_mod, "Pool", recording_pool)
+    with pytest.raises(LemmaViolationError, match="LEMMA VIOLATION"):
+        sweep_lemmas(3, workers=2)
+    assert opened == [2]
 
 
 def test_sweep_parallel_agrees() -> None:

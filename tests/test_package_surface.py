@@ -179,6 +179,33 @@ def test_non_integer_counts_raise_value_error(call) -> None:
         fn(*args)
 
 
+# A bool where a count belongs: an int subclass, but no count.
+_BOOL_COUNTS = {
+    "Coloring": (Coloring, [0, 1], True),
+    "parse_run_string": (diam_ramsey.parse_run_string, "01", True),
+    "lower_bound_coloring": (diam_ramsey.lower_bound_coloring, True),
+    "formula_f_mmm2": (diam_ramsey.formula_f_mmm2, True),
+    "ProblemSpec-size": (diam_ramsey.ProblemSpec, (2, True), 2),
+    "SearchConfig-worker_count":
+        (diam_ramsey.SearchConfig, None, "value_only", True),
+    "enumerate_avoiding": (
+        diam_ramsey.enumerate_avoiding, diam_ramsey.ProblemSpec((2, 2), 2),
+        True,
+    ),
+    "sweep_lemmas-m": (diam_ramsey.sweep_lemmas, True),
+    "sweep_lemmas-workers": (diam_ramsey.sweep_lemmas, 3, True),
+    "check_lemma22": (diam_ramsey.check_lemma22, _LEMMA_COLORING, False),
+}
+
+
+@pytest.mark.parametrize("call", _BOOL_COUNTS.values(), ids=_BOOL_COUNTS)
+def test_bool_counts_raise_value_error(call) -> None:
+    """Not a count of 1 or 0: a bool is refused like a float."""
+    fn, *args = call
+    with pytest.raises(ValueError, match=r"must be an integer, got (True|False)$"):
+        fn(*args)
+
+
 _ERRORS = [
     (
         ColoringParseError("expected a color digit", token="a", offset=2),
