@@ -34,7 +34,9 @@ It serves the witness walk of exists_solution (one call per stage, which
 must leave room for the later stages) and the lemma big set of
 lemmas.find_extremal_b1, classify_lemma21 and check_lemma22, and of
 lemmas._walk, which calls it on prefixes and hands the set it finds to
-every completion below.
+every completion below. It returns the set as a (max, min, color)
+triple, which the private lemma core takes as it is; only the public
+lemma functions build ExtremalB1, Lemma21Case and Lemma22Finding.
 """
 
 from __future__ import annotations

@@ -20,12 +20,15 @@ The public functions check their arguments and raise ValueError on a bad
 one: find_extremal_b1, classify_lemma21 and check_lemma22 take (c, m)
 and check the window (an integer m >= 2 and a 2-coloring of length
 3m-2), and sweep_lemmas checks m and workers. Each of the three finds
-the big set with checker._least_set. The private _classify and
-_check_lemma22 trust their caller for the window and take the big set as
-the (max, min, color) triple _least_set returns; only find_extremal_b1
-builds an ExtremalB1. The sweep walks the colorings depth first
-(_walk), so the big set found on a prefix serves every completion below
-it, and checks each coloring with _check_lemma22.
+the big set with checker._least_set. The private core, _classify and
+_check_lemma22, trusts its caller for the window, takes the big set as
+the (max, min, color) triple _least_set returns and returns plain
+tuples. Only the public functions build result objects: find_extremal_b1
+an ExtremalB1, and classify_lemma21 and check_lemma22 a Lemma21Case or a
+Lemma22Finding through the builders _case and _finding. The sweep walks
+the colorings depth first (_walk), so the big set found on a prefix
+serves every completion below it, checks each coloring with
+_check_lemma22 and tallies straight from its tuple.
 """
 
 from __future__ import annotations
@@ -235,13 +238,16 @@ def classify_lemma21(c: Coloring, m: int) -> Lemma21Case | None:
     """
     _require_window(c, m)
     big = _least_set(c, m, 1, 2 * m - 2)
-    return None if big is None else _classify(c, m, big)
+    return None if big is None else _case(*_classify(c, m, big))
 
 
-def _classify(c: Coloring, m: int, found: tuple[int, int, int]) -> Lemma21Case:
-    """classify_lemma21 on a window _require_window accepted, for the big
-    set of c with (max, min, color) found. No match raises
-    LemmaViolationError: the caller vouches that the big set is extremal."""
+def _classify(
+    c: Coloring, m: int, found: tuple[int, int, int]
+) -> tuple[tuple[str, ...], _Match]:
+    """(mask, match) of classify_lemma21 on a window _require_window
+    accepted, for the big set of c with (max, min, color) found; match is
+    what the tag's matcher returned. No match raises LemmaViolationError:
+    the caller vouches that the big set is extremal."""
     beta, alpha = _offsets(m, found)
     s = _frame(c, m, beta, found[2])
     matches = {
@@ -257,7 +263,12 @@ def _classify(c: Coloring, m: int, found: tuple[int, int, int]) -> Lemma21Case:
             coloring=c,
             clause="lemma 2.1: disjunction (i)/(ii)/(iii)",
         )
-    nu, mu, h_strings = matches[mask[0]]
+    return mask, matches[mask[0]]
+
+
+def _case(mask: tuple[str, ...], match: _Match) -> Lemma21Case:
+    """The Lemma21Case of _classify's (mask, match)."""
+    nu, mu, h_strings = match
     return Lemma21Case(
         case_tag=mask[0], mask=mask, mu=mu, nu=nu, h_strings=h_strings
     )
@@ -299,14 +310,17 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     full case mask.
     """
     _require_window(c, m)
-    return _check_lemma22(c, m, _least_set(c, m, 1, 2 * m - 2))
+    return _finding(*_check_lemma22(c, m, _least_set(c, m, 1, 2 * m - 2)))
 
 
 def _check_lemma22(
     c: Coloring, m: int, big: tuple[int, int, int] | None
-) -> Lemma22Finding:
-    """check_lemma22 on a window _require_window accepted, whose big set
-    _least_set(c, m, 1, 2m-2) the caller passes as big."""
+) -> tuple[tuple[str, ...] | None, _Match | None, IntSet, IntSet | None]:
+    """(mask, match, x, y) of check_lemma22 on a window _require_window
+    accepted, whose big set _least_set(c, m, 1, 2m-2) the caller passes as
+    big. Without a big set mask and match are None and (x, y) = (D1, D2);
+    with one, (mask, match) is _classify's and (x, y) = (the A-set, A3 or
+    None)."""
     if big is None:
         # A constant run of length m is exactly an m-set of diameter m-1,
         # and the earliest one has the least max.
@@ -320,16 +334,16 @@ def _check_lemma22(
                 coloring=c,
                 clause="lemma 2.2: no_big_set branch",
             )
-        return Lemma22Finding(branch="no_big_set", d1=d1[0], d2=d2[0])
+        return None, None, d1[0], d2[0]
 
-    case = _classify(c, m, big)
+    mask, match = _classify(c, m, big)
     beta, alpha = _offsets(m, big)
     limit = 3 * m - 2 - alpha - beta
     bound_a1 = 2 * m - 2 - alpha
-    if "iii" in case.mask or (alpha >= 1 and "ii" in case.mask):
+    if "iii" in mask or (alpha >= 1 and "ii" in mask):
         bound_a1 = min(bound_a1, m - 1 + beta)
-    if "i" in case.mask:
-        bound_a1 = min(bound_a1, 2 * m - 2 - alpha - case.mu)
+    if "i" in mask:
+        bound_a1 = min(bound_a1, 2 * m - 2 - alpha - match[1])
     bound_a2 = m + (m - 1 + beta) // 2 - 1
 
     found = _min_diam_mset(c, m, 1, limit)
@@ -342,10 +356,9 @@ def _check_lemma22(
             coloring=c,
             clause="lemma 2.2: big_set diameter bounds",
         )
-    a_set = found[0]
 
     a3: IntSet | None = None
-    if "i" in case.mask:
+    if "i" in mask:
         inner = _min_diam_mset(c, m, 1, m + alpha + beta)
         if inner is None or inner[1] > m + alpha + beta - 1:
             raise LemmaViolationError(
@@ -356,9 +369,20 @@ def _check_lemma22(
                 clause="lemma 2.2: big_set A3 bound",
             )
         a3 = inner[0]
+    return mask, match, found[0], a3
 
+
+def _finding(
+    mask: tuple[str, ...] | None,
+    match: _Match | None,
+    x: IntSet,
+    y: IntSet | None,
+) -> Lemma22Finding:
+    """The Lemma22Finding of _check_lemma22's (mask, match, x, y)."""
+    if mask is None:
+        return Lemma22Finding(branch="no_big_set", d1=x, d2=y)
     return Lemma22Finding(
-        branch="big_set", case=case, a1=a_set, a2=a_set, a3=a3
+        branch="big_set", case=_case(mask, match), a1=x, a2=x, a3=y
     )
 
 
@@ -418,10 +442,13 @@ def _sweep_range(args: tuple[int, int, int]) -> Counter:
     m, part, parts = args
     tally: Counter = Counter()
     for c, big in _walk(m, part, parts):
-        finding = _check_lemma22(c, m, big)
-        case = finding.case
-        tally["no_b1" if case is None else case.case_tag] += 1
-        tally[finding.branch] += 1
+        mask = _check_lemma22(c, m, big)[0]
+        if mask is None:
+            tally["no_b1"] += 1
+            tally["no_big_set"] += 1
+        else:
+            tally[mask[0]] += 1
+            tally["big_set"] += 1
     return tally
 
 

@@ -542,6 +542,19 @@ def test_incremental_rejects_non_integer_color() -> None:
     assert not state.extend(1) and state.length == 1
 
 
+def test_incremental_extend_takes_bools_as_colors() -> None:
+    """The README's one deliberate exception to refusing bools as colors:
+    extend appends True and False as they are, and flags as it would for
+    1 and 0."""
+    spec = ProblemSpec((2, 2), 2)
+    by_bool, by_int = IncrementalState(spec), IncrementalState(spec)
+    flags = [by_bool.extend(color) for color in (True, True, False, False)]
+    assert flags == [by_int.extend(x) for x in (1, 1, 0, 0)]
+    assert flags == [False, False, False, True]
+    assert by_bool._digits == [True, True, False, False]
+    assert by_bool._digits == by_int._digits
+
+
 def test_incremental_dfs_matches_exists() -> None:
     """Walk the whole avoiding tree by extend/retract, as the search does,
     and check each flag with the suffix DP. On these specs later branches

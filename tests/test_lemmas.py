@@ -231,7 +231,7 @@ def test_classify_blames_a_non_extremal_big_set() -> None:
     assert ext == ExtremalB1(IntSet([1, 2, 5]), 0, 2, 0)
     case = classify_lemma21(c, 3)
     assert case.mask
-    assert case == lemmas_mod._classify(c, 3, (5, 1, 0))
+    assert case == lemmas_mod._case(*lemmas_mod._classify(c, 3, (5, 1, 0)))
     with pytest.raises(LemmaViolationError, match="beta=0, alpha=2"):
         lemmas_mod._classify(c, 3, (7, 1, 0))
 
@@ -346,16 +346,16 @@ def test_sweep_matches_frozen_histograms(m: int) -> None:
 def test_walk_carries_each_coloring_its_big_set(m: int) -> None:
     """The walk yields every coloring once, in lex order, indexed as
     Coloring(digits, 2) indexes it, with the big set _least_set finds on
-    it, and _check_lemma22 on that set reads as check_lemma22."""
+    it, and _check_lemma22 on that set, built by _finding, reads as
+    check_lemma22."""
     n = 3 * m - 2
     seen = []
     for c, big in lemmas_mod._walk(m, 0, 1):
         fresh = Coloring(c.digits, 2)
         assert (c._positions, c._rank) == (fresh._positions, fresh._rank)
         assert big == _least_set(c, m, 1, 2 * m - 2)
-        assert repr(lemmas_mod._check_lemma22(c, m, big)) == repr(
-            check_lemma22(c, m)
-        )
+        found = lemmas_mod._check_lemma22(c, m, big)
+        assert repr(lemmas_mod._finding(*found)) == repr(check_lemma22(c, m))
         seen.append(c.digits)
     assert seen == list(itertools.product((0, 1), repeat=n))
 
@@ -377,6 +377,30 @@ def test_walk_deals_every_coloring_once(m: int) -> None:
                 dealt[c.digits] += 1
         assert sorted(dealt) == list(itertools.product((0, 1), repeat=n))
         assert set(dealt.values()) == {1}, parts
+
+
+def test_sweep_builds_no_result_objects(monkeypatch) -> None:
+    """The sweep tallies from the private tuples: with Lemma21Case and
+    Lemma22Finding made to raise, it still returns the pinned histogram,
+    while check_lemma22 and classify_lemma21, which build them, raise on
+    every 2-coloring of [1, 4] (with a big set for classify_lemma21)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("result object built")
+
+    monkeypatch.setattr(lemmas_mod, "Lemma21Case", refuse)
+    monkeypatch.setattr(lemmas_mod, "Lemma22Finding", refuse)
+    report = sweep_lemmas(4)
+    assert report.case_counts == EXPECTED_CASES[4]
+    assert report.branch_counts["no_big_set"] == EXPECTED_CASES[4]["no_b1"]
+    assert sum(report.branch_counts.values()) == report.total
+    for digits in itertools.product((0, 1), repeat=4):
+        c = Coloring(digits, 2)
+        with pytest.raises(AssertionError, match="result object built"):
+            check_lemma22(c, 2)
+        if find_extremal_b1(c, 2) is not None:
+            with pytest.raises(AssertionError, match="result object built"):
+                classify_lemma21(c, 2)
 
 
 def test_sweep_violation_is_loud(monkeypatch) -> None:
