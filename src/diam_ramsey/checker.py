@@ -30,13 +30,10 @@ diameters rather than explicit subsets.
 
 One routine, _least_set, finds the monochromatic m-set of least
 (max, diam) starting at or after a point with at least a given diameter.
-It serves the witness walk of exists_solution (one call per stage, which
-must leave room for the later stages) and the lemma big set of
-lemmas.find_extremal_b1, classify_lemma21 and check_lemma22, and of
-lemmas._walk, which calls it on prefixes and hands the set it finds to
-every completion below. It returns the set as a (max, min, color)
-triple, which the private lemma core takes as it is; only the public
-lemma functions build ExtremalB1, Lemma21Case and Lemma22Finding.
+It has two callers: the witness walk of exists_solution (one call per
+stage, which must leave room for the later stages) and the lemma big
+set (lemmas._big_set, and lemmas._walk on prefixes). It returns the set
+as a (max, min, color) triple.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .coloring import Coloring, IntSet, _require_int
+from .coloring import Coloring, IntSet, _require_colors, _require_int
 from .errors import FlaggedStateError, OracleCapError
 
 __all__ = [
@@ -85,9 +82,7 @@ class ProblemSpec:
             _require_int(m, "set size")
             if m < 2:
                 raise ValueError(f"set sizes must be at least 2, got {m}")
-        _require_int(self.num_colors, "num_colors")
-        if self.num_colors < 2:
-            raise ValueError(f"need at least 2 colors, got {self.num_colors}")
+        _require_colors(self.num_colors)
 
     @property
     def t(self) -> int:

@@ -26,7 +26,12 @@ import sys
 
 from . import __version__
 from .checker import ProblemSpec, Witness, exists_solution
-from .coloring import _require_codec, format_run_string, parse_run_string
+from .coloring import (
+    _require_codec,
+    _require_count,
+    format_run_string,
+    parse_run_string,
+)
 from .constructions import lower_bound_coloring, verify_avoiding
 from .errors import (
     DiamRamseyError,
@@ -226,8 +231,7 @@ def _cmd_check_lemma(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_table(args: argparse.Namespace) -> _Outcome:
-    if args.m_max < 2:
-        raise ValueError(f"--m-max must be >= 2, got {args.m_max}")
+    _require_count(args.m_max, "--m-max", 2)
     t, r = _FAMILIES[args.family]
     workers = _resolve_workers(args.workers)
     rows = []

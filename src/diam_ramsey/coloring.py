@@ -18,6 +18,7 @@ exponents.
 
 from __future__ import annotations
 
+import sys
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -49,15 +50,10 @@ class Coloring:
         table: list[list[int]] = [[] for _ in range(num_colors)]
         # _rank[p]: the index of p among its color's positions; 0 unused.
         rank = [0]
-        try:
-            for p, color in enumerate(seq, 1):
-                if not 0 <= color < num_colors or color.__class__ is bool:
-                    _row(table, color, p)  # raises: out of range or a bool
-                row = table[color]
-                rank.append(len(row))
-                row.append(p)
-        except TypeError:
-            _row(table, color, p)  # raises: not an integer
+        for p, color in enumerate(seq, 1):
+            row = _row(table, color, p)
+            rank.append(len(row))
+            row.append(p)
         self._digits: tuple[int, ...] = seq
         self._num_colors = num_colors
         self._positions = tuple(map(tuple, table))
@@ -70,10 +66,17 @@ class Coloring:
         """The coloring of (color, length) runs, indexed a run at a time.
 
         Lengths may be 0; such runs are skipped. Raises the ValueError
-        Coloring(digits, num_colors) raises for the same digits.
+        Coloring(digits, num_colors) raises for the same digits, and a
+        ValueError naming a total length above sys.maxsize, which no
+        tuple can hold.
         """
         runs = [(color, k) for color, k in runs if k]
-        _check_shape(sum(k for _color, k in runs), num_colors)
+        n = sum(k for _color, k in runs)
+        _check_shape(n, num_colors)
+        if n > sys.maxsize:
+            raise ValueError(
+                f"coloring length {n} exceeds sys.maxsize ({sys.maxsize})"
+            )
         table: list[list[int]] = [[] for _ in range(num_colors)]
         rank = [0]
         digits: list[int] = []
@@ -173,14 +176,26 @@ def _require_int(value: object, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_count(value: object, name: str, least: int) -> None:
+    """Raise ValueError unless value is an integer >= least."""
+    _require_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _require_colors(num_colors: object) -> None:
+    """Raise ValueError unless num_colors is an integer >= 2."""
+    _require_int(num_colors, "num_colors")
+    if num_colors < 2:
+        raise ValueError(f"need at least 2 colors, got {num_colors}")
+
+
 def _check_shape(n: int, num_colors: int) -> None:
     """Raise ValueError unless n positions and num_colors colors can form
     a coloring."""
-    _require_int(num_colors, "num_colors")
+    _require_colors(num_colors)
     if not n:
         raise ValueError("coloring must cover at least one position")
-    if num_colors < 2:
-        raise ValueError(f"need at least 2 colors, got {num_colors}")
 
 
 def _row(table: list, color: object, p: int):
@@ -304,9 +319,7 @@ def parse_run_string(s: str, num_colors: int) -> Coloring:
             2..MAX_CODEC_COLORS; the message names it, as Coloring's and
             format_run_string's do.
     """
-    _require_int(num_colors, "num_colors")
-    if num_colors < 2:
-        raise ValueError(f"need at least 2 colors, got {num_colors}")
+    _require_colors(num_colors)
     _require_codec(num_colors)
     runs: list[tuple[int, int]] = []
     i, n = 0, len(s)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checker import ProblemSpec, Witness, exists_solution
-from .coloring import Coloring, _require_int
+from .coloring import Coloring, _require_count
 
 __all__ = [
     "lower_bound_runs",
@@ -38,9 +38,7 @@ def lower_bound_runs(m: int, force_general: bool = False) -> tuple[tuple[int, in
     dropped when the coloring is materialized; they are kept here so the
     run arithmetic matches the pattern shape exactly.
     """
-    _require_int(m, "m")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _require_count(m, "m", 2)
     if m == 2 and not force_general:
         return tuple((int(ch), 1) for ch in _SPECIAL_M2)
     if m == 5 and not force_general:

@@ -18,16 +18,16 @@ both statements. Case frequencies from the sweeps feed the CLI histogram.
 
 The public functions check their arguments and raise ValueError on a bad
 one: find_extremal_b1, classify_lemma21 and check_lemma22 take (c, m)
-and check the window (an integer m >= 2 and a 2-coloring of length
-3m-2), and sweep_lemmas checks m and workers. Each of the three finds
-the big set with checker._least_set. The private core, _classify and
-_check_lemma22, trusts its caller for the window, takes the big set as
-the (max, min, color) triple _least_set returns and returns plain
-tuples. Only the public functions build result objects: find_extremal_b1
-an ExtremalB1, and classify_lemma21 and check_lemma22 a Lemma21Case or a
-Lemma22Finding through the builders _case and _finding. The sweep walks
-the colorings depth first (_walk), so the big set found on a prefix
-serves every completion below it, checks each coloring with
+and get the big set from one call, _big_set, which checks the window (an
+integer m >= 2 and a 2-coloring of length 3m-2) and then calls
+checker._least_set; sweep_lemmas checks m and workers. The private
+core, _classify and _check_lemma22, trusts its caller for the window,
+takes the big set as the (max, min, color) triple _least_set returns and
+returns plain tuples. Only the public functions build result objects:
+find_extremal_b1 an ExtremalB1, and classify_lemma21 and check_lemma22 a
+Lemma21Case or a Lemma22Finding through the builders _case and _finding.
+The sweep walks the colorings depth first (_walk), so the big set found
+on a prefix serves every completion below it, checks each coloring with
 _check_lemma22 and tallies straight from its tuple.
 """
 
@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .checker import _least_set, _members
-from .coloring import Coloring, IntSet, _require_int, format_run_string
+from .coloring import Coloring, IntSet, _require_count, format_run_string
 from .errors import LemmaViolationError
 from .search import _SPLIT_DEPTH, _job_results
 
@@ -106,10 +106,10 @@ class Lemma22Finding:
     case: Lemma21Case | None = None
 
 
-def _require_window(c: Coloring, m: int) -> None:
-    _require_int(m, "m")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+def _big_set(c: Coloring, m: int) -> tuple[int, int, int] | None:
+    """Check the window (c, m), then return the (max, min, color) triple
+    of its extremal big set, or None when it has none."""
+    _require_count(m, "m", 2)
     if c.num_colors != 2:
         raise ValueError(f"expected a 2-coloring, got {c.num_colors} colors")
     if c.length != 3 * m - 2:
@@ -117,6 +117,7 @@ def _require_window(c: Coloring, m: int) -> None:
             f"expected a coloring of [1, {3 * m - 2}] for m = {m}, "
             f"got length {c.length}"
         )
+    return _least_set(c, m, 1, 2 * m - 2)
 
 
 def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
@@ -125,8 +126,7 @@ def find_extremal_b1(c: Coloring, m: int) -> ExtremalB1 | None:
     The returned set is the deterministic representative: its minimum,
     then the smallest positions of its color, then its maximum.
     """
-    _require_window(c, m)
-    found = _least_set(c, m, 1, 2 * m - 2)
+    found = _big_set(c, m)
     if found is None:
         return None
     j, i, color = found
@@ -236,18 +236,17 @@ def classify_lemma21(c: Coloring, m: int) -> Lemma21Case | None:
         LemmaViolationError: no case matches. This would falsify the
             statement being validated and must abort loudly.
     """
-    _require_window(c, m)
-    big = _least_set(c, m, 1, 2 * m - 2)
+    big = _big_set(c, m)
     return None if big is None else _case(*_classify(c, m, big))
 
 
 def _classify(
     c: Coloring, m: int, found: tuple[int, int, int]
 ) -> tuple[tuple[str, ...], _Match]:
-    """(mask, match) of classify_lemma21 on a window _require_window
-    accepted, for the big set of c with (max, min, color) found; match is
-    what the tag's matcher returned. No match raises LemmaViolationError:
-    the caller vouches that the big set is extremal."""
+    """(mask, match) of classify_lemma21 on a window _big_set accepts, for
+    the big set of c with (max, min, color) found; match is what the
+    tag's matcher returned. No match raises LemmaViolationError: the
+    caller vouches that the big set is extremal."""
     beta, alpha = _offsets(m, found)
     s = _frame(c, m, beta, found[2])
     matches = {
@@ -309,16 +308,15 @@ def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:
     depends on the lemma 2.1 cases the coloring matches, read from the
     full case mask.
     """
-    _require_window(c, m)
-    return _finding(*_check_lemma22(c, m, _least_set(c, m, 1, 2 * m - 2)))
+    return _finding(*_check_lemma22(c, m, _big_set(c, m)))
 
 
 def _check_lemma22(
     c: Coloring, m: int, big: tuple[int, int, int] | None
 ) -> tuple[tuple[str, ...] | None, _Match | None, IntSet, IntSet | None]:
-    """(mask, match, x, y) of check_lemma22 on a window _require_window
-    accepted, whose big set _least_set(c, m, 1, 2m-2) the caller passes as
-    big. Without a big set mask and match are None and (x, y) = (D1, D2);
+    """(mask, match, x, y) of check_lemma22 on a window _big_set accepts,
+    whose big set _least_set(c, m, 1, 2m-2) the caller passes as big.
+    Without a big set mask and match are None and (x, y) = (D1, D2);
     with one, (mask, match) is _classify's and (x, y) = (the A-set, A3 or
     None)."""
     if big is None:
@@ -459,12 +457,8 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
     returned report therefore certifies zero violations and carries the
     case and branch frequencies.
     """
-    _require_int(m, "m")
-    _require_int(workers, "workers")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _require_count(m, "m", 2)
+    _require_count(workers, "workers", 1)
     with _job_results(_sweep_range, (m,), workers) as results:
         tally = sum(results, Counter())
     return LemmaSweepReport(

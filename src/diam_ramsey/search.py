@@ -28,7 +28,7 @@ from itertools import permutations
 from multiprocessing import Pool
 
 from .checker import IncrementalState, ProblemSpec, exists_solution
-from .coloring import Coloring, _require_int, format_run_string
+from .coloring import Coloring, _require_count, format_run_string
 from .errors import FormulaContradictedError, SearchBudgetError
 
 __all__ = [
@@ -68,18 +68,14 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_cap", "worker_count", "max_nodes"):
-            if getattr(self, name) is not None:
-                _require_int(getattr(self, name), name)
-        if self.n_cap is not None and self.n_cap < 1:
-            raise ValueError(f"n_cap must be >= 1, got {self.n_cap}")
+            value = getattr(self, name)
+            # n_cap and max_nodes may be None: no cap, no budget
+            if value is not None or name == "worker_count":
+                _require_count(value, name, 1)
         if self.mode not in _CERT_CAP:
             raise ValueError(
                 f"mode must be one of {tuple(_CERT_CAP)}, got {self.mode!r}"
             )
-        if self.worker_count < 1:
-            raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,7 @@ class SearchResult:
 
 def formula_f_mmm2(m: int) -> int:
     """Closed form for f(m,m,m;2): 8m-5+floor((2m-2)/3), plus 1 at m in {2,5}."""
-    _require_int(m, "m")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _require_count(m, "m", 2)
     return 8 * m - 5 + (2 * m - 2) // 3 + (1 if m in (2, 5) else 0)
 
 
@@ -345,9 +339,7 @@ def enumerate_avoiding(spec: ProblemSpec, length: int) -> list[Coloring]:
     their colors into 0..r-1. The walk is a full one however many of them
     a caller keeps. Raises FormulaContradictedError as compute_f does.
     """
-    _require_int(length, "length")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _require_count(length, "length", 1)
     r = spec.num_colors
     res = compute_f(spec, SearchConfig(n_cap=length, mode="all_certificates"))
     if not res.inconclusive:

@@ -389,6 +389,28 @@ def test_exit_2_on_verify_past_the_codec_limit(capsys) -> None:
     assert err == "error: codec supports at most 10 colors, got 11\n"
 
 
+_HUGE = 10**20  # above sys.maxsize; a smaller huge length would allocate
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["verify", "--string", f"0^{{{_HUGE}}}", "--sizes", "2",
+          "--colors", "2"], _HUGE),
+        (["construct", "--m", str(_HUGE)], 8 * _HUGE - 6 + (2 * _HUGE - 2) // 3),
+    ],
+    ids=["verify", "construct"],
+)
+def test_exit_2_on_a_length_past_sys_maxsize(capsys, argv, n, flag) -> None:
+    """Not exit 1, which means a contradicted formula or a lemma violation."""
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: coloring length {n} exceeds sys.maxsize ({sys.maxsize})\n"
+    )
+
+
 def test_value_only_runs_past_the_codec_limit(capsys) -> None:
     code, out, _ = run(
         capsys, "compute", "--sizes", "2,2", "--colors", "11", "--cap", "4",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from diam_ramsey import (
     ColoringParseError,
     IntSet,
     format_run_string,
+    formula_f_mmm2,
     lower_bound_coloring,
     lower_bound_runs,
     parse_run_string,
@@ -199,6 +201,30 @@ def test_extended_raises_the_digits_build_errors(x) -> None:
     with pytest.raises(ValueError) as exc:
         c.extended(x)
     assert str(exc.value) == str(expected.value)
+
+
+# Only totals above sys.maxsize: a smaller huge total passes the check and
+# the build then tries to allocate it.
+_HUGE = sys.maxsize + 1
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: parse_run_string(f"0^{{{_HUGE}}}", 2), _HUGE),
+        (lambda: parse_run_string(f"1 0^{{{sys.maxsize}}}", 2), _HUGE),
+        (lambda: lower_bound_coloring(_HUGE), formula_f_mmm2(_HUGE) - 1),
+    ],
+    ids=["one-run", "two-runs", "construction"],
+)
+def test_a_length_past_sys_maxsize_is_refused(build, n) -> None:
+    """Refused with a ValueError naming the length, not an OverflowError
+    from the index build."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == (
+        f"coloring length {n} exceeds sys.maxsize ({sys.maxsize})"
+    )
 
 
 # ======================================================================

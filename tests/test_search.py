@@ -17,11 +17,15 @@ from diam_ramsey import (
     SearchBudgetError,
     SearchConfig,
     brute_force_exists,
+    check_lemma22,
+    classify_lemma21,
     compute_f,
     enumerate_avoiding,
     exists_solution,
+    find_extremal_b1,
     formula_f_mmm2,
     known_value,
+    lower_bound_runs,
     parse_run_string,
     sweep_lemmas,
 )
@@ -51,6 +55,7 @@ _NON_INTEGERS = [
     (lambda: ProblemSpec((2, 2), "2"), "num_colors", "2"),
     (lambda: SearchConfig(n_cap=6.5), "n_cap", 6.5),
     (lambda: SearchConfig(worker_count=2.0), "worker_count", 2.0),
+    (lambda: SearchConfig(worker_count=None), "worker_count", None),
     (lambda: SearchConfig(max_nodes=1e6), "max_nodes", 1e6),
     (lambda: enumerate_avoiding(_SPEC, 3.5), "length", 3.5),
     (lambda: enumerate_avoiding(_SPEC, 4.0), "length", 4.0),
@@ -67,6 +72,43 @@ def test_non_integer_numbers_are_rejected(build, name, value) -> None:
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+_C1 = Coloring((0,), 2)
+_M = "m must be >= 2, got 1"
+_COLORS = "need at least 2 colors, got 1"
+# (call, build, the exact message) for a count one below its least value
+_BELOW_LEAST = [
+    ("find_extremal_b1", lambda: find_extremal_b1(_C1, 1), _M),
+    ("classify_lemma21", lambda: classify_lemma21(_C1, 1), _M),
+    ("check_lemma22", lambda: check_lemma22(_C1, 1), _M),
+    ("sweep_lemmas-m", lambda: sweep_lemmas(1), _M),
+    ("lower_bound_runs", lambda: lower_bound_runs(1), _M),
+    ("formula_f_mmm2", lambda: formula_f_mmm2(1), _M),
+    ("sweep_lemmas-workers", lambda: sweep_lemmas(2, 0),
+     "workers must be >= 1, got 0"),
+    ("enumerate_avoiding", lambda: enumerate_avoiding(_SPEC, 0),
+     "length must be >= 1, got 0"),
+    ("n_cap", lambda: SearchConfig(n_cap=0), "n_cap must be >= 1, got 0"),
+    ("worker_count", lambda: SearchConfig(worker_count=0),
+     "worker_count must be >= 1, got 0"),
+    ("max_nodes", lambda: SearchConfig(max_nodes=0),
+     "max_nodes must be >= 1, got 0"),
+    ("Coloring", lambda: Coloring([0], 1), _COLORS),
+    ("parse_run_string", lambda: parse_run_string("01", 1), _COLORS),
+    ("ProblemSpec", lambda: ProblemSpec((2,), 1), _COLORS),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [case[1:] for case in _BELOW_LEAST],
+    ids=[case[0] for case in _BELOW_LEAST],
+)
+def test_counts_below_their_least_are_rejected(build, message) -> None:
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_formula_f_mmm2_values() -> None:
