@@ -18,7 +18,11 @@ Three independent routes decide existence:
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
-  last satisfiable one, and retract is O(1).
+  last satisfiable one, and retract is O(1). Once stages 1..t-1 are
+  satisfiable, extend checks stage t first and returns as soon as it
+  closes, leaving the other stages' cells at the new position stale:
+  the state is then flagged, so only retract may follow, and the next
+  extend at that position rewrites them.
 * brute_force_exists: backtracking straight from the definition, capped
   at small N, kept as the reference oracle for the other two.
 
@@ -394,8 +398,8 @@ class IncrementalState:
     Keeps M[s][p] = minimal diam(B_s) over chains of stages 1..s inside
     [1, p] for the prefix built so far, in one preallocated row per stage
     that doubles when full. The prefix contains a solution exactly when
-    M[t][p] is finite, at which point the state is flagged and must not be
-    extended further (retract first).
+    stage t is satisfiable, at which point the state is flagged and must
+    not be extended further (retract first).
 
     _k counts the stages satisfiable inside the prefix; the state is
     flagged when it reaches t. A stage-s set ending at p needs stage s-1
@@ -406,6 +410,16 @@ class IncrementalState:
     Cells past the prefix or above stage k+1 are stale and never read:
     extend reads a stage s <= k+1 only at positions of the prefix that it
     wrote for stage s, or set to _INF when stage s-1 became satisfiable.
+
+    The update of stage s at p reads only cells below p. So once k = t-1,
+    extend scans stage t first, against row t-1 from first[t-1] on, and
+    when it closes returns at once: stages 1..t-1 keep stale cells at p.
+    No later extend reads them: the state is now flagged, the retract that
+    must follow puts p past the prefix, and the next extend at p rewrites
+    them before anything reads position p. The closing scan alone decides
+    stage t and writes no row, so row t holds only _INF. Row 0 is all
+    _NEG (the empty chain before stage 1), which the closing scan reads
+    when t = 1.
 
     Single-owner by design: extend and retract mutate in place.
     """
@@ -422,9 +436,10 @@ class IncrementalState:
         self._off = 1 if spec.strict else 0
         self._digits: list[int] = []
         self._pos: list[list[int]] = [[] for _ in range(spec.num_colors)]
-        # _m[s][p] = M[s][p] for s = 1..t and p below the capacity; _m[0]
-        # is unused.
-        self._m: list[list[int]] = [[]] + [[_INF] * 32 for _ in range(spec.t)]
+        # _m[s][p] = M[s][p] for s = 1..t and p below the capacity.
+        self._m: list[list[int]] = [[_NEG] * 32] + [
+            [_INF] * 32 for _ in range(spec.t)
+        ]
         # First position where stage s became satisfiable, for s <= _k;
         # starts at or below it cannot host stages 1..s.
         self._first_finite: list[int] = [0] + [_INF] * spec.t
@@ -440,7 +455,8 @@ class IncrementalState:
 
     def extend(self, color: int) -> bool:
         """Append one position; returns True when a solution now exists."""
-        if self._k == self._t:
+        k = self._k
+        if k == self._t:
             raise FlaggedStateError(
                 "state already contains a solution; retract before extending"
             )
@@ -458,9 +474,28 @@ class IncrementalState:
         have = len(Lx)
         rows = self._m
         if p == len(rows[1]):
+            rows[0] += [_NEG] * p
             for row in rows[1:]:
                 row += [_INF] * p
         sizes = self._sizes
+        first = self._first_finite
+        off = self._off
+        top = k + 1
+        if top == self._t:
+            # The closing stage goes first; a solution skips the rest.
+            prev = rows[k]
+            idx = have - sizes[k]
+            lo = first[k]
+            while idx >= 0:
+                i = Lx[idx]
+                if i <= lo:
+                    break
+                if prev[i - 1] + off <= p - i:
+                    self._k = top
+                    first[top] = p
+                    return True
+                idx -= 1
+            top = k
         # Stage 1 has no chain before it: the largest start wins.
         row = rows[1]
         best = row[p - 1]
@@ -468,9 +503,7 @@ class IncrementalState:
         if idx >= 0 and p - Lx[idx] < best:
             best = p - Lx[idx]
         row[p] = best
-        first = self._first_finite
-        off = self._off
-        for s in range(2, self._k + 2):
+        for s in range(2, top + 1):
             prev = row
             row = rows[s]
             best = row[p - 1]
@@ -478,7 +511,9 @@ class IncrementalState:
             if idx >= 0:
                 # Starts at or below `lo` cannot improve on `best` or
                 # cannot host a finished prefix chain.
-                lo = max(p - best, first[s - 1])
+                lo = p - best
+                if lo < first[s - 1]:
+                    lo = first[s - 1]
                 while idx >= 0:
                     i = Lx[idx]
                     if i <= lo:
@@ -488,15 +523,13 @@ class IncrementalState:
                         break
                     idx -= 1
             row[p] = best
-        if best == _INF:
+        if top == k or best == _INF:
             return False
-        # Stage k+1 became satisfiable at p.
-        k = self._k = self._k + 1
-        first[k] = p
-        if k == self._t:
-            return True
-        # Stage k+1 was not updated at p; the next extend starts from here.
-        rows[k + 1][p] = _INF
+        # Stage k+1 < t became satisfiable at p.
+        self._k = top
+        first[top] = p
+        # Stage k+2 was not updated at p; the next extend starts from here.
+        rows[top + 1][p] = _INF
         return False
 
     def retract(self) -> None:

@@ -347,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiamRamseyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except MemoryError:  # an input too large to hold, such as 0^{10^12}
+        print("error: out of memory", file=sys.stderr)
+        return _EXIT_USAGE
     if args.json:
         doc = {
             "command": args.command,

@@ -507,6 +507,72 @@ def test_incremental_retract_restores() -> None:
             ), (spec.label(), prefix)
 
 
+def _dp_flags(digits: list[int], spec: ProblemSpec, depth: int) -> list:
+    """_continuation_flags of the prefix `digits`, read from the suffix DP."""
+    flags = []
+    for x in range(spec.num_colors):
+        digits.append(x)
+        flagged = exists_solution(Coloring(digits, spec.num_colors), spec)
+        flags.append(flagged is not None)
+        if flagged is None and depth > 1:
+            flags.append(_dp_flags(digits, spec, depth - 1))
+        digits.pop()
+    return flags
+
+
+def test_incremental_closing_extend_leaves_no_trace() -> None:
+    """A closing extend checks stage t first and returns before it updates
+    stages 1..t-1 at p. After its retract, an extend at p with a color that
+    does not close must rewrite those cells: the state then continues as a
+    fresh replay and the suffix DP do. The walk goes on from that state.
+    t = 1 has no stage t-1 (its closing stage is stage 1); for t = 2..4,
+    some cases must have stage t-1 improve at p, where a stale cell would
+    show."""
+    improved = dict.fromkeys(range(2, 5), 0)
+    for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
+        spec = ProblemSpec((2,) * t, r, strict)
+        rng = random.Random(1000 * t + 10 * r + strict)
+        state = IncrementalState(spec)
+        prefix: list[int] = []
+        cases = nodes = 0
+
+        def walk() -> None:
+            nonlocal cases, nodes
+            closing = []
+            for x in range(r):
+                if state.extend(x):
+                    closing.append(x)
+                state.retract()
+            for y in rng.sample(range(r), r):
+                if y in closing or cases == 12 or nodes == 2000:
+                    continue
+                nodes += 1
+                if closing:
+                    assert state.extend(closing[0])
+                    state.retract()
+                assert not state.extend(y)
+                prefix.append(y)
+                p = len(prefix)
+                if closing:
+                    cases += 1
+                    if t > 1:
+                        row = state._m[t - 1]
+                        improved[t] += row[p] < row[p - 1]
+                    fresh = IncrementalState(spec)
+                    assert not any(fresh.extend(x) for x in prefix)
+                    flags = _continuation_flags(state, r, 3)
+                    assert flags == _continuation_flags(fresh, r, 3), prefix
+                    assert flags == _dp_flags(prefix, spec, 3), prefix
+                if p < 20:
+                    walk()
+                state.retract()
+                prefix.pop()
+
+        walk()
+        assert cases, spec.label()
+    assert all(improved.values()), improved
+
+
 def test_incremental_flag_then_extend_errors() -> None:
     """Out-of-range colors and a flagged state refuse to extend and change
     nothing; an empty state refuses to retract."""

@@ -411,6 +411,22 @@ def test_exit_2_on_a_length_past_sys_maxsize(capsys, argv, n, flag) -> None:
     )
 
 
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_exit_2_on_a_length_beyond_memory(capsys, monkeypatch, flag) -> None:
+    """A length within sys.maxsize can still exceed memory: the parse's
+    MemoryError is a usage error (exit 2) with one line, not a traceback."""
+
+    def too_long(s, num_colors):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "parse_run_string", too_long)
+    code, out, err = run(
+        capsys, "verify", "--string", "0^{1000000000000}", "--sizes", "2",
+        "--colors", "2", *flag,
+    )
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_value_only_runs_past_the_codec_limit(capsys) -> None:
     code, out, _ = run(
         capsys, "compute", "--sizes", "2,2", "--colors", "11", "--cap", "4",
