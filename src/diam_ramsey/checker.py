@@ -20,9 +20,9 @@ Three independent routes decide existence:
   are preallocated, extend updates only the stages up to one past the
   last satisfiable one, and retract is O(1). Once stages 1..t-1 are
   satisfiable, extend checks stage t first and returns as soon as it
-  closes, leaving the other stages' cells at the new position stale:
-  the state is then flagged, so only retract may follow, and the next
-  extend at that position rewrites them.
+  closes, having written only the new digit: no position, no row cell.
+  The state is then flagged, so only retract may follow, and it pops
+  just that digit.
 * brute_force_exists: backtracking straight from the definition, capped
   at small N, kept as the reference oracle for the other two.
 
@@ -71,7 +71,8 @@ class ProblemSpec:
     """The problem instance: set sizes, color count, and diameter mode.
 
     sizes holds (m1, ..., mt) with every mi >= 2; num_colors is r >= 2;
-    strict selects strictly increasing diameters instead of nondecreasing.
+    strict, a bool, selects strictly increasing diameters instead of
+    nondecreasing.
     """
 
     sizes: tuple[int, ...]
@@ -87,6 +88,8 @@ class ProblemSpec:
             if m < 2:
                 raise ValueError(f"set sizes must be at least 2, got {m}")
         _require_colors(self.num_colors)
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be a bool, got {self.strict!r}")
 
     @property
     def t(self) -> int:
@@ -406,20 +409,25 @@ class IncrementalState:
     satisfiable before its min, so one more position can make at most
     stage k+1 satisfiable: extend updates stages 1..k+1 only. retract is
     O(1): it drops the last position, un-counts a stage that first became
-    satisfiable there, and leaves the rows alone.
+    satisfiable there, and leaves the rows alone; on a flagged state it
+    drops just the digit and un-counts stage t.
     Cells past the prefix or above stage k+1 are stale and never read:
     extend reads a stage s <= k+1 only at positions of the prefix that it
     wrote for stage s, or set to _INF when stage s-1 became satisfiable.
 
     The update of stage s at p reads only cells below p. So once k = t-1,
     extend scans stage t first, against row t-1 from first[t-1] on, and
-    when it closes returns at once: stages 1..t-1 keep stale cells at p.
-    No later extend reads them: the state is now flagged, the retract that
-    must follow puts p past the prefix, and the next extend at p rewrites
-    them before anything reads position p. The closing scan alone decides
-    stage t and writes no row, so row t holds only _INF. Row 0 is all
-    _NEG (the empty chain before stage 1), which the closing scan reads
-    when t = 1.
+    when it closes returns at once, having appended only its digit. Every
+    size is at least 2, so a closing set's min is a position of its color
+    before p, and the scan never needs p in that color's positions. A
+    closing extend writes no position, no row cell and not first[t]:
+    stages 1..t-1 keep stale cells at p, which no later extend reads. The
+    state is now flagged, and the retract that must follow pops the digit
+    and sets k back to t-1; the next extend at p rewrites the cells
+    before anything reads position p. Rows grow only on the non-closing
+    path. The closing scan alone decides stage t and writes no row, so
+    row t holds only _INF and first[t] stays _INF. Row 0 is all _NEG (the
+    empty chain before stage 1), which the closing scan reads when t = 1.
 
     Single-owner by design: extend and retract mutate in place.
     """
@@ -470,21 +478,16 @@ class IncrementalState:
         digits = self._digits
         digits.append(color)
         p = len(digits)
-        Lx.append(p)
-        have = len(Lx)
         rows = self._m
-        if p == len(rows[1]):
-            rows[0] += [_NEG] * p
-            for row in rows[1:]:
-                row += [_INF] * p
         sizes = self._sizes
         first = self._first_finite
         off = self._off
         top = k + 1
         if top == self._t:
-            # The closing stage goes first; a solution skips the rest.
+            # The closing stage goes first; a solution skips the rest. A
+            # set has at least 2 members, so its min lies in Lx before p.
             prev = rows[k]
-            idx = have - sizes[k]
+            idx = len(Lx) + 1 - sizes[k]
             lo = first[k]
             while idx >= 0:
                 i = Lx[idx]
@@ -492,10 +495,15 @@ class IncrementalState:
                     break
                 if prev[i - 1] + off <= p - i:
                     self._k = top
-                    first[top] = p
                     return True
                 idx -= 1
             top = k
+        Lx.append(p)
+        have = len(Lx)
+        if p == len(rows[1]):
+            rows[0] += [_NEG] * p
+            for row in rows[1:]:
+                row += [_INF] * p
         # Stage 1 has no chain before it: the largest start wins.
         row = rows[1]
         best = row[p - 1]
@@ -537,7 +545,13 @@ class IncrementalState:
         digits = self._digits
         if not digits:
             raise ValueError("cannot retract an empty state")
+        k = self._k
+        if k == self._t:
+            # A closing extend appended its digit only.
+            digits.pop()
+            self._k = k - 1
+            return
         p = len(digits)
         self._pos[digits.pop()].pop()
-        if self._first_finite[self._k] == p:
-            self._k -= 1
+        if self._first_finite[k] == p:
+            self._k = k - 1

@@ -193,7 +193,7 @@ def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
         nonlocal best, nodes, dealt
         if depth >= n_cap:
             return
-        cmax = min(r - 1, used)
+        cmax = used if used < r else r - 1
         d = depth + 1
         mine = lead or d > split
         for x in range(cmax + 1):
@@ -221,7 +221,7 @@ def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
                     if cap is None or len(certs) < cap:
                         certs.append(tuple(digits))
                 if keep or d < split:
-                    dfs(d, max(used, x + 1))
+                    dfs(d, used if x < used else x + 1)
             retract()
 
     with suppress(_Stop):

@@ -90,6 +90,14 @@ def test_spec_validation_and_label() -> None:
         ProblemSpec((2, 2), 1)
 
 
+@pytest.mark.parametrize("strict", ["no", "", 0, 1, None, 1.0])
+def test_spec_strict_must_be_a_bool(strict) -> None:
+    """A truthy non-bool would run f* and reach to_json() as it is."""
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec((2, 2), 2, strict)
+    assert str(exc.value) == f"strict must be a bool, got {strict!r}"
+
+
 def test_witness_shape() -> None:
     w = Witness((IntSet([1, 2]), IntSet([3, 5])), (0, 1))
     assert w.diams == (1, 2)
@@ -571,6 +579,60 @@ def test_incremental_closing_extend_leaves_no_trace() -> None:
         walk()
         assert cases, spec.label()
     assert all(improved.values()), improved
+
+
+def test_incremental_closing_extend_writes_only_its_digit() -> None:
+    """A closing extend appends its digit and nothing else: no position,
+    no row cell, not first[t]. Its retract leaves the digits, positions,
+    k, first[:k + 1] and the row cells a later extend reads (stage
+    s <= k + 1 from first[s - 1] to p) as a fresh replay has them. Every
+    extend, before and after such a retract, answers as the suffix DP."""
+    for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
+        spec = ProblemSpec((2,) * t, r, strict)
+        rng = random.Random(100 * t + 10 * r + strict)
+        state = IncrementalState(spec)
+        prefix: list[int] = []
+        closings = nodes = 0
+
+        def read(s: IncrementalState) -> tuple:
+            k, first, p = s._k, s._first_finite, s.length
+            rows = [s._m[j][first[j - 1] : p + 1] for j in range(1, k + 2)]
+            return s._digits, s._pos, k, first[: k + 1], rows
+
+        def walk() -> None:
+            nonlocal closings, nodes
+            fresh = IncrementalState(spec)
+            assert not any(fresh.extend(x) for x in prefix)
+            avoiding = []
+            for x in rng.sample(range(r), r):
+                pos = [L[:] for L in state._pos]
+                rows = [row[:] for row in state._m]
+                first = state._first_finite[:]
+                closes = state.extend(x)
+                dp = exists_solution(Coloring(prefix + [x], r), spec)
+                assert closes == (dp is not None), (prefix, x)
+                if closes:
+                    closings += 1
+                    assert state.flagged and state.length == len(prefix) + 1
+                    assert state._digits == prefix + [x]
+                    assert state._pos == pos and state._m == rows
+                    assert state._first_finite == first
+                else:
+                    avoiding.append(x)
+                state.retract()
+                assert read(state) == read(fresh), (prefix, x)
+            for y in avoiding:
+                if nodes == 300 or len(prefix) == 24:
+                    return
+                nodes += 1
+                assert not state.extend(y)
+                prefix.append(y)
+                walk()
+                state.retract()
+                prefix.pop()
+
+        walk()
+        assert closings, spec.label()
 
 
 def test_incremental_flag_then_extend_errors() -> None:

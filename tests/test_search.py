@@ -201,6 +201,31 @@ def _avoiding(spec: ProblemSpec, length: int) -> list[tuple[int, ...]]:
     ]
 
 
+def test_nodes_expanded_counts_the_avoiding_tree() -> None:
+    """nodes_expanded, derived without the search: every avoiding
+    representative shorter than n_cap, the empty one included, tries
+    min(r - 1, used) + 1 colors, where used counts the colors it holds.
+    At r = 2 the walk reaches past the deal depth, so two parts split it."""
+    caps = {2: search_mod._SPLIT_DEPTH + 1, 3: 9, 4: 7}
+    specs = itertools.product(range(1, 4), range(2, 5), (False, True))
+    for t, r, strict in specs:
+        spec = ProblemSpec((2,) * t, r, strict)
+        n_cap = caps[r]
+        expected = sum(
+            min(r - 1, len(set(d))) + 1
+            for length in range(n_cap)
+            for d in itertools.product(range(r), repeat=length)
+            if _is_representative(d)
+            and (not d or exists_solution(Coloring(d, r), spec) is None)
+        )
+        for workers in (1, 2):
+            config = SearchConfig(
+                n_cap=n_cap, mode="value_only", worker_count=workers
+            )
+            nodes = compute_f(spec, config).stats.nodes_expanded
+            assert nodes == expected, (spec.label(), workers)
+
+
 def test_symmetry_reduction_halves_two_color_certificates() -> None:
     spec = ProblemSpec((2, 2), 2)
     certs = compute_f(spec, SearchConfig(mode="all_certificates")).certificates
