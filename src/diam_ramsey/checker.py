@@ -7,14 +7,16 @@ diam(B1) <= ... <= diam(Bt). The strict variant replaces <= by <.
 
 Three independent routes decide existence:
 
-* exists_solution: a suffix dynamic program over (stage, start position),
-  linear in N per stage; also extracts the canonical witness. The last
-  stage needs no room after it, so its sweep reads only each color's last
-  position; the earlier stages sweep two pointers down. Each sweep covers
-  only its live prefix: the last row is _NEG (no chain) past its last
-  usable start, and an earlier row is _NEG from the next row's last
-  non-_NEG start on, since a set there leaves no room for the later
-  stages. The cells skipped are _NEG anyway, so no row changes.
+* exists_solution: a suffix dynamic program over (stage, start position)
+  for stages 2..t, linear in N per stage, then the canonical witness walk,
+  whose stage-1 step decides existence. The last stage needs no room
+  after it, so its sweep reads only each color's last position; the
+  earlier stages sweep two pointers down. Each sweep covers only its live
+  prefix: the last row is _NEG (no chain) past its last usable start, and
+  an earlier row is _NEG from the next row's last non-_NEG start on,
+  since a set there leaves no room for the later stages. The cells
+  skipped are _NEG anyway, so no row changes. The walk scans ends only
+  up to the first _NEG cell of the row it reads.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
@@ -139,19 +141,22 @@ def validate_witness(w: Witness, c: Coloring, spec: ProblemSpec) -> None:
     """
     if len(w.sets) != spec.t:
         raise ValueError(f"expected {spec.t} sets, got {len(w.sets)}")
+    digits = c.digits
+    n = len(digits)
     for idx, (s, k) in enumerate(zip(w.sets, w.colors)):
         if len(s) != spec.sizes[idx]:
             raise ValueError(
                 f"set {idx + 1} has {len(s)} elements, "
                 f"expected {spec.sizes[idx]}"
             )
-        if s.max > c.length:
-            raise ValueError(f"set {idx + 1} leaves the interval [1,{c.length}]")
-        for p in s:
-            if c.color_at(p) != k:
+        if s.max > n:
+            raise ValueError(f"set {idx + 1} leaves the interval [1,{n}]")
+        # Elements are positive and at most n, so each indexes the digits.
+        for p in s.elements:
+            if digits[p - 1] != k:
                 raise ValueError(
                     f"set {idx + 1} is not monochromatic of color {k} "
-                    f"(position {p} has color {c.color_at(p)})"
+                    f"(position {p} has color {digits[p - 1]})"
                 )
     for idx in range(spec.t - 1):
         if not w.sets[idx].max < w.sets[idx + 1].min:
@@ -181,15 +186,17 @@ def _members(c: Coloring, i: int, e: int, m: int) -> IntSet:
 
 
 def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
-    """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N].
+    """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N]
+    for s = 2..t+1.
 
     S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
-    (no constraint). Each stage is one sweep of p down to 1: O(N + r).
-    The last stage has no later stage to leave room for, so a start's
-    best end is the last position of its color, if enough of that color
-    lie from the start on. The stages before it move two pointers, which
-    only move down. The ranks of the positions within their colors come
-    from c.
+    (no constraint). Rows 0 and 1 are empty: the witness walk reads only
+    S[s+1] at stage s, and its stage-1 call decides what S[1][1] would.
+    Each stage is one sweep of p down to 1: O(N + r). The last stage has
+    no later stage to leave room for, so a start's best end is the last
+    position of its color, if enough of that color lie from the start on.
+    The stages before it move two pointers, which only move down. The
+    ranks of the positions within their colors come from c.
 
     Each sweep covers only its live prefix. Row t is _NEG past `live`,
     its last usable start: the largest L_k[len(L_k) - m_t]. If row s+1 is
@@ -197,17 +204,20 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     j < live and its start lies below j: row s is _NEG from `live` on, and
     its sweep and its pointers start at live - 1. Row s's own `live` is
     where its `best` first turns >= 0. The cells skipped keep the _NEG
-    they start with, so each row is what a sweep from N would write.
+    they start with, so each row is what a sweep from N would write, and
+    from p = 1 on it is nonincreasing with a _NEG tail.
     """
     digits = c.digits
     n = len(digits)
     t = spec.t
-    pos = [c.positions_of(k) for k in range(spec.num_colors)]
+    pos = c._positions
     rank = c._rank
 
     off = 1 if spec.strict else 0
-    S = [[_NEG] * (n + 3) for _ in range(t + 2)]
-    S[t + 1] = [_POS] * (n + 3)
+    S = [[], []] + [[_NEG] * (n + 3) for _ in range(t - 1)]
+    S.append([_POS] * (n + 3))
+    if t == 1:
+        return S
     # Stage t: a start p of color k is usable when at least m_t positions
     # of color k lie in [p, N], that is rank[p] <= len(L_k) - m_t.
     cur = S[t]
@@ -220,7 +230,7 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
         if rank[p] <= top[k] and ends[k] - p > best:
             best = ends[k] - p
         cur[p] = best
-    for s in range(t - 1, 0, -1):
+    for s in range(t - 1, 1, -1):
         ms1 = spec.sizes[s - 1] - 1
         nxt = S[s + 1]
         cur = S[s]
@@ -268,23 +278,37 @@ def _least_set(
 
     With a suffix-table row `room` (S[s+1] for stage s), an end e also
     needs min >= e - room[e+1] + off, which fails for _NEG and always
-    holds for _POS. Ends are scanned upward from the first that can close
-    a set; the largest usable min at an end gives its least diameter. An
-    end's index among the positions of its color is its rank in c.
+    holds for _POS. The row is nonincreasing from 1 with a _NEG tail, so
+    one bisect finds its first _NEG cell q, and every end from q - 1 on
+    fails. Ends are scanned upward from the first that can close a set;
+    the largest usable min at an end gives its least diameter. An end's
+    index among the positions of its color is its rank in c.
     """
     digits = c.digits
     rank = c._rank
-    pos = [c.positions_of(k) for k in range(c.num_colors)]
-    first = lo + max(req, m - 1)
-    for e in range(first, len(digits) + 1):
+    pos = c._positions
+    stop = len(digits) + 1
+    if room is not None:
+        # The first _NEG cell q in room[1..N+1]; ends stop before q - 1.
+        q = bisect.bisect_left(room, True, 1, stop + 1, key=lambda x: x < 0)
+        stop = q - 1
+    m1 = m - 1
+    first = lo + (req if req > m1 else m1)
+    for e in range(first, stop):
+        ei = rank[e]
+        if ei < m1:
+            continue
         k = digits[e - 1]
         L = pos[k]
-        ei = rank[e]
-        if ei + 1 < m:
-            continue
         # The min leaves m color-k positions in [min, e] and fits low..hi.
-        hi = min(L[ei + 1 - m], e - req)
-        low = lo if room is None else max(lo, e - room[e + 1] + off)
+        hi = L[ei - m1]
+        if hi > e - req:
+            hi = e - req
+        low = lo
+        if room is not None:
+            low = e - room[e + 1] + off
+            if low < lo:
+                low = lo
         if hi < low:
             continue
         idx = bisect.bisect_right(L, hi) - 1
@@ -302,8 +326,10 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
     available ones. Each stage is one _least_set call: the least set after
     the previous one, with diam at least the previous diam (plus one when
     strict), that leaves room for the later stages by the suffix table.
-    Runs in O(t * (N + r)) for the table plus the walk, never by subset
-    enumeration.
+    The stage-1 call answers whether any chain exists: it finds a set
+    exactly when stages 2..t fit after some stage-1 set. A later stage
+    always finds one, since the table promised it. Runs in O(t * (N + r))
+    for the table plus the walk, never by subset enumeration.
 
     Args:
         c: the coloring to check; c.num_colors must equal spec.num_colors.
@@ -317,16 +343,17 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
             f"coloring has {c.num_colors} colors, spec wants {spec.num_colors}"
         )
     S = _suffix_table(c, spec)
-    if S[1][1] < 0:
-        return None
-
     off = 1 if spec.strict else 0
     sets: list[IntSet] = []
     set_colors: list[int] = []
     lo, req = 1, 0
     for s, ms in enumerate(spec.sizes, 1):
         found = _least_set(c, ms, lo, req, S[s + 1], off)
-        assert found is not None, "suffix table promised feasibility"
+        if found is None:
+            # Stage 1 finds no set with room for stages 2..t exactly when
+            # no chain exists; past it the table promised one.
+            assert s == 1, "suffix table promised feasibility"
+            return None
         e, i, k = found
         sets.append(_members(c, i, e, ms))
         set_colors.append(k)

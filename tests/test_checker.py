@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -116,15 +117,30 @@ def test_validate_witness_accepts_and_rejects() -> None:
     validate_witness(Witness((IntSet([1, 2]), IntSet([3, 4])), (0, 0)), c, spec)
 
     bad = [
-        Witness((IntSet([1, 2]),), (0,)),                      # wrong t
-        Witness((IntSet([1, 2, 3]), IntSet([4, 5])), (0, 0)),  # wrong size
-        Witness((IntSet([1, 2]), IntSet([3, 9])), (0, 0)),     # leaves [1,N]
-        Witness((IntSet([1, 2]), IntSet([3, 4])), (1, 0)),     # wrong color
-        Witness((IntSet([1, 3]), IntSet([2, 4])), (0, 0)),     # not preceding
-        Witness((IntSet([1, 4]), IntSet([5, 6])), (0, 0)),     # diam decreases
+        (Witness((IntSet([1, 2]),), (0,)), "expected 2 sets, got 1"),
+        (
+            Witness((IntSet([1, 2, 3]), IntSet([4, 5])), (0, 0)),
+            "set 1 has 3 elements, expected 2",
+        ),
+        (
+            Witness((IntSet([1, 2]), IntSet([3, 9])), (0, 0)),
+            "set 2 leaves the interval [1,6]",
+        ),
+        (
+            Witness((IntSet([1, 2]), IntSet([3, 4])), (1, 0)),
+            "set 1 is not monochromatic of color 1 (position 1 has color 0)",
+        ),
+        (
+            Witness((IntSet([1, 3]), IntSet([2, 4])), (0, 0)),
+            "set 1 does not precede set 2",
+        ),
+        (
+            Witness((IntSet([1, 4]), IntSet([5, 6])), (0, 0)),
+            "diameters must not decrease: 3 !<= 1",
+        ),
     ]
-    for w in bad:
-        with pytest.raises(ValueError):
+    for w, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             validate_witness(w, c, spec)
 
 
@@ -132,7 +148,8 @@ def test_validate_witness_strict_mode() -> None:
     c = parse_run_string("0^8", 2)
     spec = ProblemSpec((2, 2), 2, strict=True)
     validate_witness(Witness((IntSet([1, 2]), IntSet([3, 5])), (0, 0)), c, spec)
-    with pytest.raises(ValueError):  # equal diameters not enough
+    message = "diameters must strictly increase: 1 !< 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_witness(
             Witness((IntSet([1, 2]), IntSet([3, 4])), (0, 0)), c, spec
         )
@@ -218,20 +235,27 @@ def test_witness_is_canonical() -> None:
 
 
 def test_suffix_table_matches_definition() -> None:
-    """S[s][p] is the largest diam(B_s) over chains of stages s..t in [p, N]."""
+    """S[s][p] is the largest diam(B_s) over chains of stages s..t in [p, N]
+    for s >= 2. The table builds no row 1; exists_solution answers what
+    S[1][1] would, so it is checked against the reference row 1 instead."""
     rng = random.Random(5150)
     finite = 0
     for _ in range(2000):
         spec, c = _random_case(rng, 12)
         n = c.length
         S = _suffix_table(c, spec)
+        assert S[1] == []
         for s in range(1, spec.t + 1):
             ref = [_NEG] * (n + 2)
             for ch in _chains(c, spec, first=s - 1):
                 i, j, _k = ch[0]
                 for p in range(1, i + 1):
                     ref[p] = max(ref[p], j - i)
-            assert S[s][1 : n + 2] == ref[1:], (c, spec.label(), s)
+            if s == 1:
+                avoids = exists_solution(c, spec) is None
+                assert avoids == (ref[1] == _NEG), (c, spec.label())
+            else:
+                assert S[s][1 : n + 2] == ref[1:], (c, spec.label(), s)
             finite += sum(1 for x in ref if x != _NEG)
     assert finite > 5000
 
@@ -274,10 +298,10 @@ def _relabelings_apart(r: int, n: int):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_suffix_table_rows_match_definition(r: int) -> None:
-    """Every row, not only S[1][1], on every coloring with N <= 10 up to
-    relabeling (the table does not depend on the color names), strict and
-    not; the witness walk reads each S[s+1], and t = 1 runs only the
-    last-stage sweep."""
+    """Rows 2..t+1 on every coloring with N <= 10 up to relabeling (the
+    table does not depend on the color names), strict and not; the witness
+    walk reads each S[s+1], t = 1 builds no sweep, and exists_solution
+    finds no chain exactly when the reference S[1][1] is _NEG."""
     specs = [
         ProblemSpec(sizes, r, strict)
         for sizes in ((2,), (2, 2), (2, 3, 2), (3, 2))
@@ -288,9 +312,11 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
         for digits in _relabelings_apart(r, n):
             c = Coloring(digits, r)
             for spec in specs:
-                S = _suffix_table(c, spec)
-                assert S[1:] == _suffix_rows(c, spec)[1:], (digits, spec)
-                finite += S[1][1] != _NEG
+                ref = _suffix_rows(c, spec)
+                assert _suffix_table(c, spec)[2:] == ref[2:], (digits, spec)
+                avoids = exists_solution(c, spec) is None
+                assert avoids == (ref[1][1] == _NEG), (digits, spec)
+                finite += ref[1][1] != _NEG
     assert finite > 1000
 
 
@@ -321,15 +347,18 @@ def _long_cases():
 
 
 def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
-    """Every row on colorings up to N = 133, where much of each row lies
+    """Rows 2..t+1 on colorings up to N = 133, where much of each row lies
     past its stage's live limit: each sweep starts at the limit the later
-    stage leaves, so a limit or a pointer start one too low shows here."""
+    stage leaves, so a limit or a pointer start one too low shows here.
+    Stage 1 is checked through exists_solution against the reference
+    S[1][1], and dead cells are counted on the reference rows 1..t."""
     cases = dead = cells = 0
     for c, spec in _long_cases():
-        S = _suffix_table(c, spec)
-        assert S[1:] == _suffix_rows(c, spec)[1:], (c, spec)
+        ref = _suffix_rows(c, spec)
+        assert _suffix_table(c, spec)[2:] == ref[2:], (c, spec)
+        assert (exists_solution(c, spec) is None) == (ref[1][1] == _NEG)
         for s in range(1, spec.t + 1):
-            dead += S[s][1 : c.length + 1].count(_NEG)
+            dead += ref[s][1 : c.length + 1].count(_NEG)
         cells += spec.t * c.length
         cases += 1
     assert cases == 384
@@ -364,6 +393,30 @@ def test_canonical_witness_frozen_examples() -> None:
     w = exists_solution(parse_run_string("110011001100", 2), spec)
     assert [s.elements for s in w.sets] == [(1, 2), (3, 4), (5, 6)]
     assert w.colors == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "m, x, triples",
+    [
+        (200, 0, [(997, 1196, 1), (1197, 1396, 1), (1528, 1727, 0)]),
+        (200, 1, [(1, 399, 0), (467, 997, 1), (1197, 1727, 1)]),
+        (500, 0, [(2497, 2996, 1), (2997, 3496, 1), (3828, 4327, 0)]),
+        (500, 1, [(1, 999, 0), (1167, 2497, 1), (2997, 4327, 1)]),
+    ],
+)
+def test_construction_extension_witnesses_are_pinned(m, x, triples) -> None:
+    """The canonical witness of each one-position extension of the m = 200
+    and 500 constructions, as (min, max, color) per set; its members are
+    the least ones, so the triples fix every set."""
+    c = lower_bound_coloring(m).extended(x)
+    spec = ProblemSpec((m, m, m), 2)
+    w = exists_solution(c, spec)
+    assert [(s.min, s.max, k) for s, k in zip(w.sets, w.colors)] == triples
+    for s, (i, _j, k) in zip(w.sets, triples):
+        L = c.positions_of(k)
+        a = L.index(i)
+        assert s.elements == L[a : a + m - 1] + (s.max,)
+    validate_witness(w, c, spec)
 
 
 # ======================================================================
@@ -406,6 +459,51 @@ def test_least_set_against_bruteforce() -> None:
                         if ref is None or cand < ref:
                             ref = cand
         assert _least(c, start, d, m) == ref
+
+
+def test_least_set_with_room_against_bruteforce() -> None:
+    """The witness walk's call: an end e also needs room[e+1] >= diam + off,
+    with room the reference row S[s+1], at every stage, start and diameter
+    floor. A row turns _NEG at its first dead cell and the scan stops
+    there, so cases whose least set ends at the last end before that cell
+    catch a stop one too early."""
+    rng = random.Random(2718)
+    found = at_stop = 0
+    for _ in range(150):
+        t = rng.randint(2, 3)
+        r = rng.randint(2, 3)
+        spec = ProblemSpec(
+            tuple(rng.randint(2, 4) for _ in range(t)), r, rng.random() < 0.5
+        )
+        off = 1 if spec.strict else 0
+        n = rng.randint(2, 16)
+        c = Coloring([rng.randrange(r) for _ in range(n)], r)
+        rows = _suffix_rows(c, spec)
+        for s, m in enumerate(spec.sizes, 1):
+            room = rows[s + 1]
+            dead = [p for p in range(1, n + 3) if room[p] == _NEG]
+            last = dead[0] - 2 if dead else None
+            # Every set the room row allows, in (max, diam) order.
+            sets = sorted(
+                (j, j - i, i, k)
+                for k in range(r)
+                for a, i in enumerate(c.positions_of(k))
+                for j in c.positions_of(k)[a + m - 1 :]
+                if room[j + 1] >= j - i + off
+            )
+            for lo in range(1, n + 1):
+                for req in range(n):
+                    ref = next(
+                        ((j, i, k) for j, d, i, k in sets
+                         if i >= lo and d >= req),
+                        None,
+                    )
+                    got = _least_set(c, m, lo, req, room, off)
+                    assert got == ref, (c, spec, s, lo, req)
+                    found += ref is not None
+                    at_stop += ref is not None and ref[0] == last
+    assert found > 5000
+    assert at_stop > 150
 
 
 # ======================================================================
