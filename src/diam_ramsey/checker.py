@@ -350,8 +350,6 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
     for s, ms in enumerate(spec.sizes, 1):
         found = _least_set(c, ms, lo, req, S[s + 1], off)
         if found is None:
-            # Stage 1 finds no set with room for stages 2..t exactly when
-            # no chain exists; past it the table promised one.
             assert s == 1, "suffix table promised feasibility"
             return None
         e, i, k = found
