@@ -21,10 +21,9 @@ Three independent routes decide existence:
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
   last satisfiable one, and retract is O(1). Once stages 1..t-1 are
-  satisfiable, extend checks stage t first and returns as soon as it
-  closes, having written only the new digit: no position, no row cell.
-  The state is then flagged, so only retract may follow, and it pops
-  just that digit.
+  satisfiable, extend checks stage t first; when it closes, extend
+  returns True having written nothing, so only avoiding extends are
+  retracted.
 * brute_force_exists: backtracking straight from the definition, capped
   at small N, kept as the reference oracle for the other two.
 
@@ -48,7 +47,7 @@ import bisect
 from dataclasses import dataclass
 
 from .coloring import Coloring, IntSet, _require_colors, _require_int
-from .errors import FlaggedStateError, OracleCapError
+from .errors import OracleCapError
 
 __all__ = [
     "ProblemSpec",
@@ -133,12 +132,22 @@ class Witness:
         }
 
 
+def _require_same_colors(c: Coloring, spec: ProblemSpec) -> None:
+    """The ValueError for a coloring whose color count is not spec's."""
+    if c.num_colors != spec.num_colors:
+        raise ValueError(
+            f"coloring has {c.num_colors} colors, spec wants {spec.num_colors}"
+        )
+
+
 def validate_witness(w: Witness, c: Coloring, spec: ProblemSpec) -> None:
     """Re-check a witness against the raw definition, raising on failure.
 
-    Deliberately shares no code with the solver engines: works straight
-    from the chain conditions so it can serve as an independent referee.
+    Deliberately shares no code with the solver engines beyond the
+    argument check: works straight from the chain conditions so it can
+    serve as an independent referee.
     """
+    _require_same_colors(c, spec)
     if len(w.sets) != spec.t:
         raise ValueError(f"expected {spec.t} sets, got {len(w.sets)}")
     digits = c.digits
@@ -181,7 +190,7 @@ def _members(c: Coloring, i: int, e: int, m: int) -> IntSet:
     of its positions in [i, e]: i, the next m-2 from i's rank in c, e."""
     a = c._rank[i]
     return IntSet._from_sorted(
-        c.positions_of(c.digits[i - 1])[a : a + m - 1] + (e,)
+        c._positions[c.digits[i - 1]][a : a + m - 1] + (e,)
     )
 
 
@@ -338,10 +347,7 @@ def exists_solution(c: Coloring, spec: ProblemSpec) -> Witness | None:
     Returns:
         The canonical Witness, or None when the coloring avoids solutions.
     """
-    if c.num_colors != spec.num_colors:
-        raise ValueError(
-            f"coloring has {c.num_colors} colors, spec wants {spec.num_colors}"
-        )
+    _require_same_colors(c, spec)
     S = _suffix_table(c, spec)
     off = 1 if spec.strict else 0
     sets: list[IntSet] = []
@@ -377,10 +383,7 @@ def brute_force_exists(c: Coloring, spec: ProblemSpec) -> Witness | None:
         raise OracleCapError(
             f"oracle capped at N <= {DEFAULT_ORACLE_CAP}, got N = {c.length}"
         )
-    if c.num_colors != spec.num_colors:
-        raise ValueError(
-            f"coloring has {c.num_colors} colors, spec wants {spec.num_colors}"
-        )
+    _require_same_colors(c, spec)
     pos = [c.positions_of(k) for k in range(spec.num_colors)]
     off = 1 if spec.strict else 0
     t = spec.t
@@ -425,34 +428,27 @@ class IncrementalState:
 
     Keeps M[s][p] = minimal diam(B_s) over chains of stages 1..s inside
     [1, p] for the prefix built so far, in one preallocated row per stage
-    that doubles when full. The prefix contains a solution exactly when
-    stage t is satisfiable, at which point the state is flagged and must
-    not be extended further (retract first).
+    that doubles when full. The prefix always avoids: an extend whose
+    color would close a solution returns True and changes nothing.
 
-    _k counts the stages satisfiable inside the prefix; the state is
-    flagged when it reaches t. A stage-s set ending at p needs stage s-1
-    satisfiable before its min, so one more position can make at most
-    stage k+1 satisfiable: extend updates stages 1..k+1 only. retract is
-    O(1): it drops the last position, un-counts a stage that first became
-    satisfiable there, and leaves the rows alone; on a flagged state it
-    drops just the digit and un-counts stage t.
-    Cells past the prefix or above stage k+1 are stale and never read:
-    extend reads a stage s <= k+1 only at positions of the prefix that it
-    wrote for stage s, or set to _INF when stage s-1 became satisfiable.
+    _k counts the stages satisfiable inside the prefix, at most t-1. A
+    stage-s set ending at p needs stage s-1 satisfiable before its min, so
+    one more position can make at most stage k+1 satisfiable: extend
+    updates stages 1..k+1 only. retract is O(1): it drops the last
+    position, un-counts a stage that first became satisfiable there, and
+    leaves the rows alone. Cells past the prefix or above stage k+1 are
+    never read: extend reads a stage s <= k+1 only at positions of the
+    prefix that it wrote for stage s, or set to _INF when stage s-1
+    became satisfiable.
 
     The update of stage s at p reads only cells below p. So once k = t-1,
-    extend scans stage t first, against row t-1 from first[t-1] on, and
-    when it closes returns at once, having appended only its digit. Every
-    size is at least 2, so a closing set's min is a position of its color
-    before p, and the scan never needs p in that color's positions. A
-    closing extend writes no position, no row cell and not first[t]:
-    stages 1..t-1 keep stale cells at p, which no later extend reads. The
-    state is now flagged, and the retract that must follow pops the digit
-    and sets k back to t-1; the next extend at p rewrites the cells
-    before anything reads position p. Rows grow only on the non-closing
-    path. The closing scan alone decides stage t and writes no row, so
-    row t holds only _INF and first[t] stays _INF. Row 0 is all _NEG (the
-    empty chain before stage 1), which the closing scan reads when t = 1.
+    extend scans stage t first, against row t-1 from first[t-1] on,
+    before it appends anything, and returns True as soon as a set closes.
+    Every size is at least 2, so a closing set's min is a position of its
+    color before p, and the scan never needs p in that color's positions.
+    Row t is written only as the _INF that stage t-1 leaves when it
+    becomes satisfiable. Row 0 is all _NEG (the empty chain before stage
+    1), which the closing scan reads when t = 1.
 
     Single-owner by design: extend and retract mutate in place.
     """
@@ -482,17 +478,10 @@ class IncrementalState:
     def length(self) -> int:
         return len(self._digits)
 
-    @property
-    def flagged(self) -> bool:
-        return self._k == self._t
-
     def extend(self, color: int) -> bool:
-        """Append one position; returns True when a solution now exists."""
+        """Append one position and return False, or return True and change
+        nothing when the prefix plus color contains a solution."""
         k = self._k
-        if k == self._t:
-            raise FlaggedStateError(
-                "state already contains a solution; retract before extending"
-            )
         if not 0 <= color < self._r:
             raise ValueError(f"color {color} out of range 0..{self._r - 1}")
         # Index before appending, so that a rejected color leaves no trace.
@@ -501,8 +490,7 @@ class IncrementalState:
         except TypeError:
             raise ValueError(f"color {color!r} is not an integer") from None
         digits = self._digits
-        digits.append(color)
-        p = len(digits)
+        p = len(digits) + 1
         rows = self._m
         sizes = self._sizes
         first = self._first_finite
@@ -519,10 +507,10 @@ class IncrementalState:
                 if i <= lo:
                     break
                 if prev[i - 1] + off <= p - i:
-                    self._k = top
                     return True
                 idx -= 1
             top = k
+        digits.append(color)
         Lx.append(p)
         have = len(Lx)
         if p == len(rows[1]):
@@ -566,16 +554,11 @@ class IncrementalState:
         return False
 
     def retract(self) -> None:
-        """Remove the last position, undoing the matching extend."""
+        """Remove the last position, undoing the last avoiding extend."""
         digits = self._digits
         if not digits:
             raise ValueError("cannot retract an empty state")
         k = self._k
-        if k == self._t:
-            # A closing extend appended its digit only.
-            digits.pop()
-            self._k = k - 1
-            return
         p = len(digits)
         self._pos[digits.pop()].pop()
         if self._first_finite[k] == p:

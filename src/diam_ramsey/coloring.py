@@ -126,6 +126,10 @@ class Coloring:
 
     def positions_of(self, color: int) -> tuple[int, ...]:
         """All positions of `color`, ascending."""
+        if not 0 <= color < self._num_colors:
+            raise ValueError(
+                f"color {color} out of range 0..{self._num_colors - 1}"
+            )
         return self._positions[color]
 
     def extended(self, color: int) -> "Coloring":

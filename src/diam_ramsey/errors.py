@@ -1,8 +1,10 @@
 """Exception types raised across the package.
 
 Everything inherits from DiamRamseyError so callers can catch the whole
-family at once. The CLI exits 1 on FormulaContradictedError and
-LemmaViolationError and 2 on every other error.
+family at once. IncrementalState raises none of them: its extend reports
+a solution by returning True and refuses a bad color with ValueError.
+The CLI exits 1 on FormulaContradictedError and LemmaViolationError and
+2 on every other error.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "DiamRamseyError",
     "ColoringParseError",
-    "FlaggedStateError",
     "OracleCapError",
     "SearchBudgetError",
     "FormulaContradictedError",
@@ -46,10 +47,6 @@ class ColoringParseError(DiamRamseyError):
     """
 
     _template = "{message} (token {token!r} at offset {offset})"
-
-
-class FlaggedStateError(DiamRamseyError):
-    """An incremental checker state was extended after reporting a solution."""
 
 
 class OracleCapError(DiamRamseyError):

@@ -287,7 +287,7 @@ def _min_diam_mset(
     """
     best: tuple[int, int, int, int] | None = None  # (diam, max, color, index)
     for k in (0, 1):
-        L = c.positions_of(k)
+        L = c._positions[k]
         end = bisect.bisect_right(L, hi)
         for a in range(bisect.bisect_left(L, lo), end - m + 1):
             key = (L[a + m - 1] - L[a], L[a + m - 1], k, a)
@@ -296,7 +296,7 @@ def _min_diam_mset(
     if best is None:
         return None
     d, _mx, k, a = best
-    return IntSet._from_sorted(c.positions_of(k)[a : a + m]), d
+    return IntSet._from_sorted(c._positions[k][a : a + m]), d
 
 
 def check_lemma22(c: Coloring, m: int) -> Lemma22Finding:

@@ -72,10 +72,10 @@ class SearchConfig:
             # n_cap and max_nodes may be None: no cap, no budget
             if value is not None or name == "worker_count":
                 _require_count(value, name, 1)
-        if self.mode not in _CERT_CAP:
-            raise ValueError(
-                f"mode must be one of {tuple(_CERT_CAP)}, got {self.mode!r}"
-            )
+        modes = tuple(_CERT_CAP)
+        # A tuple compares by ==, so an unhashable mode is refused too.
+        if self.mode not in modes:
+            raise ValueError(f"mode must be one of {modes}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
     """
     spec, n_cap, mode, guard, max_nodes, part, parts = args
     state = IncrementalState(spec)
-    # The state holds the prefix: extend appends x, retract drops it.
+    # The state holds the prefix: extend appends x unless x closes a
+    # solution, and retract drops it.
     extend, retract, digits = state.extend, state.retract, state._digits
     r = spec.num_colors
     cap = _CERT_CAP[mode]
@@ -201,27 +202,28 @@ def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise _Stop
-            if not extend(x):
-                if guard is not None and d >= guard:
-                    raise FormulaContradictedError(
-                        f"avoiding coloring of length {d} found, but "
-                        f"{spec.label()} = {guard} was expected: "
-                        "FORMULA CONTRADICTED",
-                        coloring=Coloring(digits, r),
-                        expected=guard,
-                    )
-                keep = mine
-                if d == split:
-                    keep = dealt % parts == part
-                    dealt += 1
-                if keep and d >= best:
-                    if d > best:
-                        best = d
-                        certs.clear()
-                    if cap is None or len(certs) < cap:
-                        certs.append(tuple(digits))
-                if keep or d < split:
-                    dfs(d, used if x < used else x + 1)
+            if extend(x):
+                continue
+            if guard is not None and d >= guard:
+                raise FormulaContradictedError(
+                    f"avoiding coloring of length {d} found, but "
+                    f"{spec.label()} = {guard} was expected: "
+                    "FORMULA CONTRADICTED",
+                    coloring=Coloring(digits, r),
+                    expected=guard,
+                )
+            keep = mine
+            if d == split:
+                keep = dealt % parts == part
+                dealt += 1
+            if keep and d >= best:
+                if d > best:
+                    best = d
+                    certs.clear()
+                if cap is None or len(certs) < cap:
+                    certs.append(tuple(digits))
+            if keep or d < split:
+                dfs(d, used if x < used else x + 1)
             retract()
 
     with suppress(_Stop):

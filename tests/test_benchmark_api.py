@@ -41,16 +41,21 @@ def test_benchmark_names_resolve() -> None:
 
 def test_class_level_wrappers_count_every_node(monkeypatch) -> None:
     """perfbench reads checker.extend.calls from wrappers installed on the
-    class: the search must reach extend and retract through them, once per
-    expanded node."""
+    class: the search must reach extend and retract through them, extend
+    once per expanded node and retract once per avoiding node. A closing
+    extend (one that returns True) changes nothing and is not retracted."""
     cls = diam_ramsey.IncrementalState
     calls = {"extend": 0, "retract": 0}
+    closes = 0
     for attr in calls:
         orig = cls.__dict__[attr]
 
         def wrapper(*args, _orig=orig, _attr=attr):
+            nonlocal closes
             calls[_attr] += 1
-            return _orig(*args)
+            out = _orig(*args)
+            closes += out is True
+            return out
 
         monkeypatch.setattr(cls, attr, wrapper)
     result = diam_ramsey.compute_f(
@@ -58,4 +63,6 @@ def test_class_level_wrappers_count_every_node(monkeypatch) -> None:
         diam_ramsey.SearchConfig(mode="value_only", worker_count=1),
     )
     assert result.f_value == 20
-    assert calls["extend"] == calls["retract"] == result.stats.nodes_expanded
+    assert calls["extend"] == result.stats.nodes_expanded
+    assert calls["retract"] == calls["extend"] - closes
+    assert 0 < calls["retract"] < calls["extend"]

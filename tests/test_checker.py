@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from diam_ramsey import (
     Coloring,
-    FlaggedStateError,
     IncrementalState,
     IntSet,
     OracleCapError,
@@ -171,9 +170,17 @@ def test_exists_trivial_cases() -> None:
 
 
 def test_exists_requires_matching_palette() -> None:
+    """The referee refuses a coloring of the wrong color count as the two
+    solvers do, even when the witness would pass on its digits."""
+    c, spec = Coloring([0, 0], 2), ProblemSpec((2,), 3)
+    w = Witness((IntSet([1, 2]),), (0,))
+    message = "^coloring has 2 colors, spec wants 3$"
+    with pytest.raises(ValueError, match=message):
+        validate_witness(w, c, spec)
     for check in (exists_solution, brute_force_exists):
-        with pytest.raises(ValueError, match="2 colors, spec wants 3"):
-            check(Coloring([0, 1], 2), ProblemSpec((2, 2), 3))
+        with pytest.raises(ValueError, match=message):
+            check(c, spec)
+    validate_witness(w, c, ProblemSpec((2,), 2))
 
 
 def test_exists_vs_brute_exhaustive_small() -> None:
@@ -545,34 +552,35 @@ def test_incremental_matches_exists_on_prefixes() -> None:
         digits: list[int] = []
         for _ in range(60):
             k = rng.randrange(spec.num_colors)
-            flagged = state.extend(k)
-            digits.append(k)
-            c = Coloring(digits, spec.num_colors)
-            assert flagged == (exists_solution(c, spec) is not None)
-            if flagged:
-                state.retract()
-                digits.pop()
+            closes = state.extend(k)
+            c = Coloring(digits + [k], spec.num_colors)
+            assert closes == (exists_solution(c, spec) is not None)
+            if not closes:
+                digits.append(k)
+            assert state._digits == digits
     # Constructions of length f(m,m,m;2) - 1 avoid and every one-position
-    # extension flags; at m = 12 (length 97) the rows double twice.
+    # extension closes; at m = 12 (length 97) the rows double twice.
     for m in (5, 12):
         spec = ProblemSpec((m, m, m), 2)
         state = IncrementalState(spec)
-        assert not any(state.extend(x) for x in lower_bound_coloring(m).digits)
+        digits = list(lower_bound_coloring(m).digits)
+        assert not any(state.extend(x) for x in digits)
         for x in (0, 1):
             assert state.extend(x)
-            state.retract()
+        assert state._digits == digits
 
 
 def _continuation_flags(state: IncrementalState, r: int, depth: int) -> list:
-    """The flag of every continuation of up to `depth` positions, in DFS
+    """Whether each continuation of up to `depth` positions closes, in DFS
     order, walked by extend/retract so the state ends as it began."""
     flags = []
     for x in range(r):
-        flagged = state.extend(x)
-        flags.append(flagged)
-        if not flagged and depth > 1:
-            flags.append(_continuation_flags(state, r, depth - 1))
-        state.retract()
+        closes = state.extend(x)
+        flags.append(closes)
+        if not closes:
+            if depth > 1:
+                flags.append(_continuation_flags(state, r, depth - 1))
+            state.retract()
     return flags
 
 
@@ -595,7 +603,6 @@ def test_incremental_retract_restores() -> None:
                     if not state.extend(x):
                         prefix.append(x)
                         break
-                    state.retract()
                 else:
                     break
             for x in rng.choices(range(r), k=3):
@@ -607,7 +614,7 @@ def test_incremental_retract_restores() -> None:
             for x in prefix:
                 fresh.extend(x)
             assert state.length == fresh.length == len(prefix)
-            assert not state.flagged and not fresh.flagged
+            assert state._k == fresh._k < spec.t
             assert _continuation_flags(state, r, 4) == _continuation_flags(
                 fresh, r, 4
             ), (spec.label(), prefix)
@@ -618,22 +625,22 @@ def _dp_flags(digits: list[int], spec: ProblemSpec, depth: int) -> list:
     flags = []
     for x in range(spec.num_colors):
         digits.append(x)
-        flagged = exists_solution(Coloring(digits, spec.num_colors), spec)
-        flags.append(flagged is not None)
-        if flagged is None and depth > 1:
+        found = exists_solution(Coloring(digits, spec.num_colors), spec)
+        flags.append(found is not None)
+        if found is None and depth > 1:
             flags.append(_dp_flags(digits, spec, depth - 1))
         digits.pop()
     return flags
 
 
 def test_incremental_closing_extend_leaves_no_trace() -> None:
-    """A closing extend checks stage t first and returns before it updates
-    stages 1..t-1 at p. After its retract, an extend at p with a color that
-    does not close must rewrite those cells: the state then continues as a
-    fresh replay and the suffix DP do. The walk goes on from that state.
-    t = 1 has no stage t-1 (its closing stage is stage 1); for t = 2..4,
-    some cases must have stage t-1 improve at p, where a stale cell would
-    show."""
+    """A closing extend checks stage t first and returns before it writes
+    anything. An extend at p with a color that does not close, after it,
+    must write stages 1..t-1 at p over the cells an earlier branch left:
+    the state then continues as a fresh replay and the suffix DP do. The
+    walk goes on from that state. t = 1 has no stage t-1 (its closing
+    stage is stage 1); for t = 2..4, some cases must have stage t-1
+    improve at p, where a stale cell would show."""
     improved = dict.fromkeys(range(2, 5), 0)
     for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
         spec = ProblemSpec((2,) * t, r, strict)
@@ -648,14 +655,14 @@ def test_incremental_closing_extend_leaves_no_trace() -> None:
             for x in range(r):
                 if state.extend(x):
                     closing.append(x)
-                state.retract()
+                else:
+                    state.retract()
             for y in rng.sample(range(r), r):
                 if y in closing or cases == 12 or nodes == 2000:
                     continue
                 nodes += 1
                 if closing:
                     assert state.extend(closing[0])
-                    state.retract()
                 assert not state.extend(y)
                 prefix.append(y)
                 p = len(prefix)
@@ -679,12 +686,24 @@ def test_incremental_closing_extend_leaves_no_trace() -> None:
     assert all(improved.values()), improved
 
 
-def test_incremental_closing_extend_writes_only_its_digit() -> None:
-    """A closing extend appends its digit and nothing else: no position,
-    no row cell, not first[t]. Its retract leaves the digits, positions,
-    k, first[:k + 1] and the row cells a later extend reads (stage
-    s <= k + 1 from first[s - 1] to p) as a fresh replay has them. Every
-    extend, before and after such a retract, answers as the suffix DP."""
+def _snapshot(state: IncrementalState) -> tuple:
+    """Deep copies of every field that extend and retract write."""
+    return (
+        state._digits[:],
+        [L[:] for L in state._pos],
+        [row[:] for row in state._m],
+        state._first_finite[:],
+        state._k,
+    )
+
+
+def test_incremental_closing_extend_leaves_state_unchanged() -> None:
+    """A closing extend returns True and writes nothing: the digits, the
+    positions, every row, first and k equal a snapshot taken before it.
+    A retract after an avoiding extend leaves the digits, positions, k,
+    first[:k + 1] and the row cells a later extend reads (stage s <= k + 1
+    from first[s - 1] to p) as a fresh replay has them. Every extend
+    answers as the suffix DP."""
     for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
         spec = ProblemSpec((2,) * t, r, strict)
         rng = random.Random(100 * t + 10 * r + strict)
@@ -703,21 +722,16 @@ def test_incremental_closing_extend_writes_only_its_digit() -> None:
             assert not any(fresh.extend(x) for x in prefix)
             avoiding = []
             for x in rng.sample(range(r), r):
-                pos = [L[:] for L in state._pos]
-                rows = [row[:] for row in state._m]
-                first = state._first_finite[:]
+                before = _snapshot(state)
                 closes = state.extend(x)
                 dp = exists_solution(Coloring(prefix + [x], r), spec)
                 assert closes == (dp is not None), (prefix, x)
                 if closes:
                     closings += 1
-                    assert state.flagged and state.length == len(prefix) + 1
-                    assert state._digits == prefix + [x]
-                    assert state._pos == pos and state._m == rows
-                    assert state._first_finite == first
+                    assert _snapshot(state) == before, (prefix, x)
                 else:
                     avoiding.append(x)
-                state.retract()
+                    state.retract()
                 assert read(state) == read(fresh), (prefix, x)
             for y in avoiding:
                 if nodes == 300 or len(prefix) == 24:
@@ -733,9 +747,50 @@ def test_incremental_closing_extend_writes_only_its_digit() -> None:
         assert closings, spec.label()
 
 
+def test_incremental_closing_extends_in_a_row() -> None:
+    """Runs of closing extends, each closing color up to three times over,
+    change nothing: the avoiding extend after a run, and every extend of
+    the walk that goes on from it, answer as the suffix DP. When every
+    color closes, the run covers them all and the walk backs up."""
+    runs = 0
+    for t, r, strict in product(range(1, 4), (2, 3), (False, True)):
+        rng = random.Random(10 * t + r + 5 * strict)
+        spec = ProblemSpec(
+            tuple(rng.choice((2, 3)) for _ in range(t)), r, strict
+        )
+        state = IncrementalState(spec)
+        prefix: list[int] = []
+        for _ in range(150):
+            closing = [
+                x for x in range(r)
+                if exists_solution(Coloring(prefix + [x], r), spec)
+            ]
+            run = [x for x in closing for _ in range(rng.randrange(1, 4))]
+            rng.shuffle(run)
+            before = _snapshot(state)
+            assert all(state.extend(x) for x in run), (prefix, run)
+            assert _snapshot(state) == before
+            runs += len(run) > 1
+            open_ = [x for x in range(r) if x not in closing]
+            if not open_:
+                for _ in range(min(len(prefix), rng.randrange(1, 4))):
+                    state.retract()
+                    prefix.pop()
+                continue
+            y = rng.choice(open_)
+            assert not state.extend(y)
+            prefix.append(y)
+            assert state._digits == prefix
+            assert _continuation_flags(state, r, 2) == _dp_flags(
+                prefix, spec, 2
+            ), (spec.label(), prefix)
+    assert runs > 100, runs
+
+
 def test_incremental_flag_then_extend_errors() -> None:
-    """Out-of-range colors and a flagged state refuse to extend and change
-    nothing; an empty state refuses to retract."""
+    """Out-of-range colors refuse to extend and change nothing. A closing
+    extend changes nothing either, so any extend may follow it, and an
+    empty state refuses to retract."""
     spec = ProblemSpec((2, 2), 2)
     state = IncrementalState(spec)
     for k in (0, 0, 0):
@@ -743,14 +798,10 @@ def test_incremental_flag_then_extend_errors() -> None:
     for bad in (-1, 2):
         with pytest.raises(ValueError):
             state.extend(bad)
-        assert state.length == 3 and not state.flagged
-    assert state.extend(0)
-    assert state.flagged and state.length == 4
-    with pytest.raises(FlaggedStateError):
-        state.extend(1)
-    assert state.length == 4
-    state.retract()
-    assert not state.flagged and not state.extend(1)
+        assert state.length == 3
+    assert state.extend(0) and state.extend(0)
+    assert state._digits == [0, 0, 0]
+    assert not state.extend(1) and state._digits == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         IncrementalState(spec).retract()
 
@@ -770,20 +821,20 @@ def test_incremental_rejects_non_integer_color() -> None:
 
 def test_incremental_extend_takes_bools_as_colors() -> None:
     """The README's one deliberate exception to refusing bools as colors:
-    extend appends True and False as they are, and flags as it would for
+    extend appends True and False as they are, and closes as it would for
     1 and 0."""
     spec = ProblemSpec((2, 2), 2)
     by_bool, by_int = IncrementalState(spec), IncrementalState(spec)
     flags = [by_bool.extend(color) for color in (True, True, False, False)]
     assert flags == [by_int.extend(x) for x in (1, 1, 0, 0)]
     assert flags == [False, False, False, True]
-    assert by_bool._digits == [True, True, False, False]
+    assert by_bool._digits == [True, True, False]
     assert by_bool._digits == by_int._digits
 
 
 def test_incremental_dfs_matches_exists() -> None:
     """Walk the whole avoiding tree by extend/retract, as the search does,
-    and check each flag with the suffix DP. On these specs later branches
+    and check each extend with the suffix DP. On these specs later branches
     reach a position with fewer stages satisfied than earlier ones did, so
     a stale row cell would show."""
     for spec in (
@@ -798,12 +849,12 @@ def test_incremental_dfs_matches_exists() -> None:
         def walk() -> None:
             for x in range(r):
                 digits.append(x)
-                flagged = state.extend(x)
+                closes = state.extend(x)
                 c = Coloring(digits, r)
-                assert flagged == (exists_solution(c, spec) is not None), c
-                if not flagged:
+                assert closes == (exists_solution(c, spec) is not None), c
+                if not closes:
                     walk()
-                state.retract()
+                    state.retract()
                 digits.pop()
 
         walk()
@@ -824,33 +875,22 @@ def _state_walks(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_state_walks())
 def test_incremental_differential_walks(walk) -> None:
-    """After every extend or retract the flag agrees with the suffix DP and
-    the brute oracle on the current prefix; a flagged state is retracted.
+    """Every extend answers as the suffix DP and the brute oracle on the
+    prefix plus its color, and appends the color exactly when it avoids.
     Retracts leave stale cells in the rows that no later extend may read."""
     spec, ops = walk
     state = IncrementalState(spec)
     digits: list[int] = []
-
-    def check() -> None:
-        assert state.length == len(digits)
-        if not digits:
-            assert not state.flagged
-            return
-        c = Coloring(digits, spec.num_colors)
-        found = exists_solution(c, spec) is not None
-        brute = brute_force_exists(c, spec) is not None
-        assert state.flagged == found == brute
-
     for x in ops:
         if x is None or len(digits) == DEFAULT_ORACLE_CAP:
             if digits:
                 state.retract()
                 digits.pop()
         else:
-            state.extend(x)
-            digits.append(x)
-        check()
-        if state.flagged:
-            state.retract()
-            digits.pop()
-            check()
+            c = Coloring(digits + [x], spec.num_colors)
+            found = exists_solution(c, spec) is not None
+            brute = brute_force_exists(c, spec) is not None
+            assert state.extend(x) == found == brute
+            if not found:
+                digits.append(x)
+        assert state._digits == digits

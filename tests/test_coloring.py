@@ -85,6 +85,14 @@ def test_positions_and_counts() -> None:
     assert c.positions_of(1) == (3,)
 
 
+@pytest.mark.parametrize("color", [-1, -2, 2, 3])
+def test_positions_of_rejects_colors_out_of_range(color) -> None:
+    """A negative color would wrap to the last colors' positions."""
+    c = parse_run_string("0^210^3", 2)
+    with pytest.raises(ValueError, match=f"^color {color} out of range 0..1$"):
+        c.positions_of(color)
+
+
 def test_extended_is_a_new_coloring() -> None:
     c = Coloring([0, 1], 2)
     d = c.extended(0)

@@ -19,7 +19,6 @@ import diam_ramsey
 from diam_ramsey import (
     Coloring,
     ColoringParseError,
-    FlaggedStateError,
     FormulaContradictedError,
     LemmaViolationError,
     OracleCapError,
@@ -38,7 +37,6 @@ _PUBLIC = [
     "ColoringParseError",
     "DiamRamseyError",
     "ExtremalB1",
-    "FlaggedStateError",
     "FormulaContradictedError",
     "IncrementalState",
     "IntSet",
@@ -87,7 +85,6 @@ _SIGNATURES = {
     "ColoringParseError": "message, **fields",
     "DiamRamseyError": "message, **fields",
     "ExtremalB1": "b1, color_c1, beta, alpha",
-    "FlaggedStateError": "message, **fields",
     "FormulaContradictedError": "message, **fields",
     "IncrementalState": "spec",
     "IntSet": "elements",
@@ -211,13 +208,6 @@ _ERRORS = [
         ColoringParseError("expected a color digit", token="a", offset=2),
         "expected a color digit (token 'a' at offset 2)",
         {"token": "a", "offset": 2},
-    ),
-    (
-        FlaggedStateError(
-            "state already contains a solution; retract before extending"
-        ),
-        "state already contains a solution; retract before extending",
-        {},
     ),
     (
         OracleCapError("oracle capped at N <= 24, got N = 30"),

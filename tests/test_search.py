@@ -40,6 +40,10 @@ def test_config_validation() -> None:
         SearchConfig(n_cap=0)
     with pytest.raises(ValueError):
         SearchConfig(mode="everything")
+    modes = "('value_only', 'one_certificate', 'all_certificates')"
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(mode=[])
+    assert str(exc.value) == f"mode must be one of {modes}, got []"
     with pytest.raises(ValueError):
         SearchConfig(worker_count=0)
     with pytest.raises(ValueError):
