@@ -16,7 +16,7 @@ Three independent routes decide existence:
   an earlier row is _NEG from the next row's last non-_NEG start on,
   since a set there leaves no room for the later stages. The cells
   skipped are _NEG anyway, so no row changes. The walk scans ends only
-  up to the first _NEG cell of the row it reads.
+  up to the first _NEG cell of the row it reads, and to N at stage t.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
@@ -37,8 +37,9 @@ One routine, _least_set, finds the monochromatic m-set of least
 (max, diam) starting at or after a point with at least a given diameter.
 It has two callers: the witness walk of exists_solution (one call per
 stage, which must leave room for the later stages) and the lemma big
-set (lemmas._big_set, and lemmas._walk on prefixes). It returns the set
-as a (max, min, color) triple.
+set (lemmas._big_set, and lemmas._walk on prefixes). It takes no room
+at the walk's last stage and for the big set, and returns the set as a
+(max, min, color) triple.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ __all__ = [
 
 # Forward DP sentinel: "no set of this stage ends at or before here".
 _INF = 1 << 40
-# Suffix DP sentinels: "no feasible chain" / "no constraint".
+# Suffix DP sentinel: "no feasible chain".
 _NEG = -(1 << 40)
-_POS = 1 << 40
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -194,13 +194,13 @@ def _members(c: Coloring, i: int, e: int, m: int) -> IntSet:
     )
 
 
-def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
+def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int] | None]:
     """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N]
-    for s = 2..t+1.
+    for s = 2..t.
 
-    S[s][p] is _NEG when no such chain exists and the row s = t+1 is _POS
-    (no constraint). Rows 0 and 1 are empty: the witness walk reads only
-    S[s+1] at stage s, and its stage-1 call decides what S[1][1] would.
+    S[s][p] is _NEG when no such chain exists. Rows 0 and 1 are empty and
+    S[t+1] is None (no later stage): the witness walk reads only S[s+1]
+    at stage s, and its stage-1 call decides what S[1][1] would.
     Each stage is one sweep of p down to 1: O(N + r). The last stage has
     no later stage to leave room for, so a start's best end is the last
     position of its color, if enough of that color lie from the start on.
@@ -223,8 +223,7 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
     rank = c._rank
 
     off = 1 if spec.strict else 0
-    S = [[], []] + [[_NEG] * (n + 3) for _ in range(t - 1)]
-    S.append([_POS] * (n + 3))
+    S = [[], []] + [[_NEG] * (n + 3) for _ in range(t - 1)] + [None]
     if t == 1:
         return S
     # Stage t: a start p of color k is usable when at least m_t positions
@@ -285,13 +284,13 @@ def _least_set(
     """The monochromatic m-set in [lo, N] with diam >= req and least
     (max, diam), as (max, min, color); None when there is none.
 
-    With a suffix-table row `room` (S[s+1] for stage s), an end e also
-    needs min >= e - room[e+1] + off, which fails for _NEG and always
-    holds for _POS. The row is nonincreasing from 1 with a _NEG tail, so
-    one bisect finds its first _NEG cell q, and every end from q - 1 on
-    fails. Ends are scanned upward from the first that can close a set;
-    the largest usable min at an end gives its least diameter. An end's
-    index among the positions of its color is its rank in c.
+    With a suffix-table row `room` (S[s+1] for stage s), an end e also needs
+    min >= e - room[e+1] + off, which fails for _NEG. The row is
+    nonincreasing from 1 with a _NEG tail, so one bisect finds its first
+    _NEG cell q, and every end from q - 1 on fails. With room None (S[t+1],
+    or the big set) ends run to N. Ends are scanned upward from the first
+    that can close a set; the largest usable min at an end gives its least
+    diameter. An end's index among its color's positions is its rank in c.
     """
     digits = c.digits
     rank = c._rank
@@ -446,9 +445,9 @@ class IncrementalState:
     before it appends anything, and returns True as soon as a set closes.
     Every size is at least 2, so a closing set's min is a position of its
     color before p, and the scan never needs p in that color's positions.
-    Row t is written only as the _INF that stage t-1 leaves when it
-    becomes satisfiable. Row 0 is all _NEG (the empty chain before stage
-    1), which the closing scan reads when t = 1.
+    Row t only takes the _INF that stage t-1 leaves when it becomes
+    satisfiable: nothing reads it, but that write needs no branch. Row 0
+    is all _NEG (the empty chain before stage 1), read when t = 1.
 
     Single-owner by design: extend and retract mutate in place.
     """
@@ -470,8 +469,8 @@ class IncrementalState:
             [_INF] * 32 for _ in range(spec.t)
         ]
         # First position where stage s became satisfiable, for s <= _k;
-        # starts at or below it cannot host stages 1..s.
-        self._first_finite: list[int] = [0] + [_INF] * spec.t
+        # starts at or below it cannot host stages 1..s (s < t).
+        self._first_finite: list[int] = [0] + [_INF] * (spec.t - 1)
         self._k = 0
 
     @property
@@ -482,10 +481,12 @@ class IncrementalState:
         """Append one position and return False, or return True and change
         nothing when the prefix plus color contains a solution."""
         k = self._k
-        if not 0 <= color < self._r:
-            raise ValueError(f"color {color} out of range 0..{self._r - 1}")
-        # Index before appending, so that a rejected color leaves no trace.
+        # Check before appending, so that a rejected color leaves no trace.
         try:
+            if not 0 <= color < self._r:
+                raise ValueError(
+                    f"color {color} out of range 0..{self._r - 1}"
+                )
             Lx = self._pos[color]
         except TypeError:
             raise ValueError(f"color {color!r} is not an integer") from None

@@ -213,8 +213,6 @@ def _match_case_iii(s: str, m: int, beta: int, alpha: int) -> _Match | None:
     if beta < alpha or s.count("0") >= m:
         return None
     ones = [x + 1 for x, v in enumerate(s) if v == "1"]
-    if len(ones) < m:
-        return None
     if ones[m - 1] > 3 * m - 3 - beta - alpha:
         return None
     # [ones[0], ones[m-1]] holds exactly m ones; the rest are zeros.

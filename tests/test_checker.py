@@ -26,10 +26,13 @@ from diam_ramsey import (
 from diam_ramsey.checker import (
     DEFAULT_ORACLE_CAP,
     _NEG,
-    _POS,
     _least_set,
     _suffix_table,
 )
+
+# The reference table's "no constraint" row S[t+1]: the checker builds no
+# such row and passes no room to its last stage instead.
+_POS = 1 << 40
 
 
 def _chains(c: Coloring, spec: ProblemSpec, first: int = 0):
@@ -244,14 +247,15 @@ def test_witness_is_canonical() -> None:
 def test_suffix_table_matches_definition() -> None:
     """S[s][p] is the largest diam(B_s) over chains of stages s..t in [p, N]
     for s >= 2. The table builds no row 1; exists_solution answers what
-    S[1][1] would, so it is checked against the reference row 1 instead."""
+    S[1][1] would, so it is checked against the reference row 1 instead.
+    S[t+1] is None: the last stage has no room to leave."""
     rng = random.Random(5150)
     finite = 0
     for _ in range(2000):
         spec, c = _random_case(rng, 12)
         n = c.length
         S = _suffix_table(c, spec)
-        assert S[1] == []
+        assert S[1] == [] and S[spec.t + 1] is None
         for s in range(1, spec.t + 1):
             ref = [_NEG] * (n + 2)
             for ch in _chains(c, spec, first=s - 1):
@@ -305,10 +309,11 @@ def _relabelings_apart(r: int, n: int):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_suffix_table_rows_match_definition(r: int) -> None:
-    """Rows 2..t+1 on every coloring with N <= 10 up to relabeling (the
+    """Rows 2..t on every coloring with N <= 10 up to relabeling (the
     table does not depend on the color names), strict and not; the witness
-    walk reads each S[s+1], t = 1 builds no sweep, and exists_solution
-    finds no chain exactly when the reference S[1][1] is _NEG."""
+    walk reads each S[s+1], S[t+1] is None, t = 1 builds no sweep, and
+    exists_solution finds no chain exactly when the reference S[1][1] is
+    _NEG."""
     specs = [
         ProblemSpec(sizes, r, strict)
         for sizes in ((2,), (2, 2), (2, 3, 2), (3, 2))
@@ -320,7 +325,9 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
             c = Coloring(digits, r)
             for spec in specs:
                 ref = _suffix_rows(c, spec)
-                assert _suffix_table(c, spec)[2:] == ref[2:], (digits, spec)
+                S = _suffix_table(c, spec)
+                assert S[2:-1] == ref[2:-1], (digits, spec)
+                assert S[-1] is None and len(S) == len(ref)
                 avoids = exists_solution(c, spec) is None
                 assert avoids == (ref[1][1] == _NEG), (digits, spec)
                 finite += ref[1][1] != _NEG
@@ -354,15 +361,18 @@ def _long_cases():
 
 
 def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
-    """Rows 2..t+1 on colorings up to N = 133, where much of each row lies
+    """Rows 2..t on colorings up to N = 133, where much of each row lies
     past its stage's live limit: each sweep starts at the limit the later
     stage leaves, so a limit or a pointer start one too low shows here.
     Stage 1 is checked through exists_solution against the reference
-    S[1][1], and dead cells are counted on the reference rows 1..t."""
+    S[1][1], S[t+1] is None, and dead cells are counted on the reference
+    rows 1..t."""
     cases = dead = cells = 0
     for c, spec in _long_cases():
         ref = _suffix_rows(c, spec)
-        assert _suffix_table(c, spec)[2:] == ref[2:], (c, spec)
+        S = _suffix_table(c, spec)
+        assert S[2:-1] == ref[2:-1], (c, spec)
+        assert S[-1] is None and len(S) == len(ref)
         assert (exists_solution(c, spec) is None) == (ref[1][1] == _NEG)
         for s in range(1, spec.t + 1):
             dead += ref[s][1 : c.length + 1].count(_NEG)
@@ -473,9 +483,10 @@ def test_least_set_with_room_against_bruteforce() -> None:
     with room the reference row S[s+1], at every stage, start and diameter
     floor. A row turns _NEG at its first dead cell and the scan stops
     there, so cases whose least set ends at the last end before that cell
-    catch a stop one too early."""
+    catch a stop one too early. At the last stage the walk passes no room
+    instead of the reference's _POS row, and gets the same answer."""
     rng = random.Random(2718)
-    found = at_stop = 0
+    found = at_stop = last_stage = 0
     for _ in range(150):
         t = rng.randint(2, 3)
         r = rng.randint(2, 3)
@@ -507,10 +518,15 @@ def test_least_set_with_room_against_bruteforce() -> None:
                     )
                     got = _least_set(c, m, lo, req, room, off)
                     assert got == ref, (c, spec, s, lo, req)
+                    if s == t:
+                        got = _least_set(c, m, lo, req, None, off)
+                        assert got == ref, (c, spec, lo, req)
+                        last_stage += ref is not None
                     found += ref is not None
                     at_stop += ref is not None and ref[0] == last
     assert found > 5000
     assert at_stop > 150
+    assert last_stage > 5000
 
 
 # ======================================================================
@@ -745,6 +761,8 @@ def test_incremental_closing_extend_leaves_state_unchanged() -> None:
 
         walk()
         assert closings, spec.label()
+        # Stage t is never satisfiable inside the prefix, so no first[t].
+        assert len(state._first_finite) == t
 
 
 def test_incremental_closing_extends_in_a_row() -> None:
@@ -807,16 +825,20 @@ def test_incremental_flag_then_extend_errors() -> None:
 
 
 def test_incremental_rejects_non_integer_color() -> None:
-    """A color that passes the range check but is no index (1.0) is refused
-    before anything is appended, so retract still undoes the last extend."""
-    state = IncrementalState(ProblemSpec((2, 2), 2))
-    state.extend(0)
-    with pytest.raises(ValueError, match=r"color 1\.0 "):
-        state.extend(1.0)
-    assert state.length == 1
-    state.retract()
-    assert state.length == 0
-    assert not state.extend(1) and state.length == 1
+    """A color that is no index, whether it passes the range check (1.0)
+    or cannot be compared with an int ("1", None, []), is refused with a
+    ValueError before anything is appended, so retract still undoes the
+    last extend."""
+    for color in (1.0, "1", None, []):
+        state = IncrementalState(ProblemSpec((2, 2), 2))
+        state.extend(0)
+        message = f"color {color!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state.extend(color)
+        assert state.length == 1
+        state.retract()
+        assert state.length == 0
+        assert not state.extend(1) and state.length == 1
 
 
 def test_incremental_extend_takes_bools_as_colors() -> None:
