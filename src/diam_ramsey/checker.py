@@ -11,12 +11,12 @@ Three independent routes decide existence:
   for stages 2..t, linear in N per stage, then the canonical witness walk,
   whose stage-1 step decides existence. The last stage needs no room
   after it, so its sweep reads only each color's last position; the
-  earlier stages sweep two pointers down. Each sweep covers only its live
-  prefix: the last row is _NEG (no chain) past its last usable start, and
-  an earlier row is _NEG from the next row's last non-_NEG start on,
-  since a set there leaves no room for the later stages. The cells
-  skipped are _NEG anyway, so no row changes. The walk scans ends only
-  up to the first _NEG cell of the row it reads, and to N at stage t.
+  earlier stages sweep two pointers down. A row holds only the starts
+  from which its stages fit, so a row's length is where it ends: the last
+  row ends at its last usable start, and an earlier one before the next
+  row's end, since a set ending there leaves no room for the later
+  stages. The walk scans ends only while the row it reads goes on, and
+  to N at stage t.
 * IncrementalState: a forward dynamic program maintained position by
   position, built for the search engine's extend/retract loop. Its rows
   are preallocated, extend updates only the stages up to one past the
@@ -61,8 +61,6 @@ __all__ = [
 
 # Forward DP sentinel: "no set of this stage ends at or before here".
 _INF = 1 << 40
-# Suffix DP sentinel: "no feasible chain".
-_NEG = -(1 << 40)
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -198,41 +196,41 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int] | None]:
     """Build S[s][p] = max diam(B_s) over chains of stages s..t in [p, N]
     for s = 2..t.
 
-    S[s][p] is _NEG when no such chain exists. Rows 0 and 1 are empty and
-    S[t+1] is None (no later stage): the witness walk reads only S[s+1]
-    at stage s, and its stage-1 call decides what S[1][1] would.
+    Row s holds only the starts p = 1..live_s from which such a chain
+    exists, so a row's length is where it ends: len(S[s]) = live_s + 1,
+    every cell from 1 on is at least 1 (a diameter), and cell 0 is never
+    read. Rows 0 and 1 are empty and S[t+1] is None (no later stage): the
+    witness walk reads only S[s+1] at stage s, and its stage-1 call
+    decides what S[1][1] would.
     Each stage is one sweep of p down to 1: O(N + r). The last stage has
     no later stage to leave room for, so a start's best end is the last
     position of its color, if enough of that color lie from the start on.
     The stages before it move two pointers, which only move down. The
     ranks of the positions within their colors come from c.
 
-    Each sweep covers only its live prefix. Row t is _NEG past `live`,
-    its last usable start: the largest L_k[len(L_k) - m_t]. If row s+1 is
-    _NEG past `live`, a stage-s set ending at j needs S[s+1][j+1] >= 0, so
-    j < live and its start lies below j: row s is _NEG from `live` on, and
-    its sweep and its pointers start at live - 1. Row s's own `live` is
-    where its `best` first turns >= 0. The cells skipped keep the _NEG
-    they start with, so each row is what a sweep from N would write, and
-    from p = 1 on it is nonincreasing with a _NEG tail.
+    Row t ends at `live`, its last usable start: the largest
+    L_k[len(L_k) - m_t]. If row s+1 ends at `live`, a stage-s set ending
+    at j needs j + 1 <= live, and its start lies below j: row s ends below
+    `live`, and its sweep and its pointers start at live - 1. Row s's own
+    `live` is where its `best` first turns positive, and the row is cut
+    there. Each row is nonincreasing from p = 1 on.
     """
     digits = c.digits
-    n = len(digits)
     t = spec.t
     pos = c._positions
     rank = c._rank
 
     off = 1 if spec.strict else 0
-    S = [[], []] + [[_NEG] * (n + 3) for _ in range(t - 1)] + [None]
+    S = [[], []] + [None] * t
     if t == 1:
         return S
     # Stage t: a start p of color k is usable when at least m_t positions
     # of color k lie in [p, N], that is rank[p] <= len(L_k) - m_t.
-    cur = S[t]
     ends = [L[-1] if L else 0 for L in pos]
     top = [len(L) - spec.sizes[t - 1] for L in pos]
     live = max([L[i] for L, i in zip(pos, top) if i >= 0], default=0)
-    best = _NEG
+    cur = S[t] = [-1] * (live + 1)
+    best = -1
     for p in range(live, 0, -1):
         k = digits[p - 1]
         if rank[p] <= top[k] and ends[k] - p > best:
@@ -241,7 +239,7 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int] | None]:
     for s in range(t - 1, 1, -1):
         ms1 = spec.sizes[s - 1] - 1
         nxt = S[s + 1]
-        cur = S[s]
+        cur = S[s] = [-1] * (live + 1)
         # j: the largest end whose remaining interval still supports the
         # later stages, g(j) = j - S[s+1][j+1] <= p - off. g is increasing
         # in j, so j only falls as p falls; once j < p no end can be
@@ -250,7 +248,7 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int] | None]:
         # last[k]: index in pos[k] of the last color-k position <= j,
         # moved only when color k comes up.
         last = [bisect.bisect_right(L, j) - 1 for L in pos]
-        best = _NEG
+        best = -1
         live = 0
         for p in range(j, 0, -1):
             lim = p - off
@@ -270,6 +268,7 @@ def _suffix_table(c: Coloring, spec: ProblemSpec) -> list[list[int] | None]:
                     live = p
                 best = L[idx] - p
             cur[p] = best
+        del cur[live + 1 :]
     return S
 
 
@@ -285,21 +284,16 @@ def _least_set(
     (max, diam), as (max, min, color); None when there is none.
 
     With a suffix-table row `room` (S[s+1] for stage s), an end e also needs
-    min >= e - room[e+1] + off, which fails for _NEG. The row is
-    nonincreasing from 1 with a _NEG tail, so one bisect finds its first
-    _NEG cell q, and every end from q - 1 on fails. With room None (S[t+1],
-    or the big set) ends run to N. Ends are scanned upward from the first
-    that can close a set; the largest usable min at an end gives its least
-    diameter. An end's index among its color's positions is its rank in c.
+    room to go on at e + 1, that is e < len(room) - 1, and min >= e -
+    room[e+1] + off. With room None (S[t+1], or the big set) ends run to
+    N. Ends are scanned upward from the first that can close a set; the
+    largest usable min at an end gives its least diameter. An end's index
+    among its color's positions is its rank in c.
     """
     digits = c.digits
     rank = c._rank
     pos = c._positions
-    stop = len(digits) + 1
-    if room is not None:
-        # The first _NEG cell q in room[1..N+1]; ends stop before q - 1.
-        q = bisect.bisect_left(room, True, 1, stop + 1, key=lambda x: x < 0)
-        stop = q - 1
+    stop = len(digits) + 1 if room is None else len(room) - 1
     m1 = m - 1
     first = lo + (req if req > m1 else m1)
     for e in range(first, stop):
@@ -447,7 +441,8 @@ class IncrementalState:
     color before p, and the scan never needs p in that color's positions.
     Row t only takes the _INF that stage t-1 leaves when it becomes
     satisfiable: nothing reads it, but that write needs no branch. Row 0
-    is all _NEG (the empty chain before stage 1), read when t = 1.
+    is all 0 (the empty chain before stage 1), read only when t = 1: every
+    set's diameter is at least 1, so 0 sets no floor even when strict.
 
     Single-owner by design: extend and retract mutate in place.
     """
@@ -465,7 +460,7 @@ class IncrementalState:
         self._digits: list[int] = []
         self._pos: list[list[int]] = [[] for _ in range(spec.num_colors)]
         # _m[s][p] = M[s][p] for s = 1..t and p below the capacity.
-        self._m: list[list[int]] = [[_NEG] * 32] + [
+        self._m: list[list[int]] = [[0] * 32] + [
             [_INF] * 32 for _ in range(spec.t)
         ]
         # First position where stage s became satisfiable, for s <= _k;
@@ -515,7 +510,7 @@ class IncrementalState:
         Lx.append(p)
         have = len(Lx)
         if p == len(rows[1]):
-            rows[0] += [_NEG] * p
+            rows[0] += [0] * p
             for row in rows[1:]:
                 row += [_INF] * p
         # Stage 1 has no chain before it: the largest start wins.

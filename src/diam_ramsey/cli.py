@@ -71,16 +71,19 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 def _resolve_workers(requested: int | None) -> int:
     """--workers wins; otherwise DIAM_RAMSEY_WORKERS; otherwise 1."""
     if requested is not None:
+        _require_count(requested, "--workers", 1)
         return requested
     env = os.environ.get("DIAM_RAMSEY_WORKERS")
     if env is None:
         return 1
     try:
-        return int(env)
+        workers = int(env)
     except ValueError:
         raise ValueError(
             f"DIAM_RAMSEY_WORKERS must be an integer, got {env!r}"
         )
+    _require_count(workers, "DIAM_RAMSEY_WORKERS", 1)
+    return workers
 
 
 def _spec(args: argparse.Namespace) -> ProblemSpec:
@@ -108,7 +111,9 @@ def _cmd_compute(args: argparse.Namespace) -> _Outcome:
         "one": "one_certificate",
         "all": "all_certificates",
     }[args.certificates]
-    if args.cap is None and known_value(spec) is None:
+    if args.cap is not None:
+        _require_count(args.cap, "--cap", 1)
+    elif known_value(spec) is None:
         raise ValueError(f"no closed form known for {spec.label()}; pass --cap")
     if mode != "value_only":
         _require_codec(spec.num_colors)  # fail before the search, not after

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 from itertools import product
@@ -25,11 +27,13 @@ from diam_ramsey import (
 )
 from diam_ramsey.checker import (
     DEFAULT_ORACLE_CAP,
-    _NEG,
     _least_set,
     _suffix_table,
 )
 
+# The reference table's "no chain" cell: the checker's rows end before
+# their first such cell instead.
+_NEG = -(1 << 40)
 # The reference table's "no constraint" row S[t+1]: the checker builds no
 # such row and passes no room to its last stage instead.
 _POS = 1 << 40
@@ -244,11 +248,23 @@ def test_witness_is_canonical() -> None:
     assert checked > 100
 
 
+def _assert_row(row: list[int], ref: list[int], where) -> None:
+    """A table row is the reference row cut at its first _NEG cell: the
+    two agree on 1..len(row) - 1, every cell of row from 1 on is at least
+    1, and ref is _NEG from len(row) on. A row one cell short or one cell
+    long fails."""
+    end = len(row)
+    assert end >= 1 and row[1:] == ref[1:end], where
+    assert all(x >= 1 for x in row[1:]), where
+    assert all(x == _NEG for x in ref[end:]), where
+
+
 def test_suffix_table_matches_definition() -> None:
     """S[s][p] is the largest diam(B_s) over chains of stages s..t in [p, N]
-    for s >= 2. The table builds no row 1; exists_solution answers what
-    S[1][1] would, so it is checked against the reference row 1 instead.
-    S[t+1] is None: the last stage has no room to leave."""
+    for s >= 2, and row s ends where that first fails. The table builds no
+    row 1; exists_solution answers what S[1][1] would, so it is checked
+    against the reference row 1 instead. S[t+1] is None: the last stage
+    has no room to leave."""
     rng = random.Random(5150)
     finite = 0
     for _ in range(2000):
@@ -266,7 +282,7 @@ def test_suffix_table_matches_definition() -> None:
                 avoids = exists_solution(c, spec) is None
                 assert avoids == (ref[1] == _NEG), (c, spec.label())
             else:
-                assert S[s][1 : n + 2] == ref[1:], (c, spec.label(), s)
+                _assert_row(S[s], ref, (c, spec.label(), s))
             finite += sum(1 for x in ref if x != _NEG)
     assert finite > 5000
 
@@ -310,7 +326,8 @@ def _relabelings_apart(r: int, n: int):
 @pytest.mark.parametrize("r", [2, 3])
 def test_suffix_table_rows_match_definition(r: int) -> None:
     """Rows 2..t on every coloring with N <= 10 up to relabeling (the
-    table does not depend on the color names), strict and not; the witness
+    table does not depend on the color names), strict and not, each the
+    reference row cut at its first _NEG cell; the witness
     walk reads each S[s+1], S[t+1] is None, t = 1 builds no sweep, and
     exists_solution finds no chain exactly when the reference S[1][1] is
     _NEG."""
@@ -326,7 +343,8 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
             for spec in specs:
                 ref = _suffix_rows(c, spec)
                 S = _suffix_table(c, spec)
-                assert S[2:-1] == ref[2:-1], (digits, spec)
+                for s in range(2, spec.t + 1):
+                    _assert_row(S[s], ref[s], (digits, spec, s))
                 assert S[-1] is None and len(S) == len(ref)
                 avoids = exists_solution(c, spec) is None
                 assert avoids == (ref[1][1] == _NEG), (digits, spec)
@@ -335,7 +353,8 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
 
 
 def _long_cases():
-    """Long colorings with few runs, whose rows end in long _NEG tails:
+    """Long colorings with few runs, whose reference rows end in long _NEG
+    tails that the checker's rows leave out:
     the constructions for m = 2..16 (both families), both one-position
     extensions, seeded flips of 1-3 positions, each strict and not, and
     3-colorings built from runs."""
@@ -361,9 +380,10 @@ def _long_cases():
 
 
 def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
-    """Rows 2..t on colorings up to N = 133, where much of each row lies
-    past its stage's live limit: each sweep starts at the limit the later
-    stage leaves, so a limit or a pointer start one too low shows here.
+    """Rows 2..t on colorings up to N = 133, where much of each reference
+    row lies past its stage's live limit: each sweep starts at the limit
+    the later stage leaves and each row ends at its own, so a limit, a
+    pointer start or a row end one off shows here.
     Stage 1 is checked through exists_solution against the reference
     S[1][1], S[t+1] is None, and dead cells are counted on the reference
     rows 1..t."""
@@ -371,7 +391,8 @@ def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
     for c, spec in _long_cases():
         ref = _suffix_rows(c, spec)
         S = _suffix_table(c, spec)
-        assert S[2:-1] == ref[2:-1], (c, spec)
+        for s in range(2, spec.t + 1):
+            _assert_row(S[s], ref[s], (c, spec, s))
         assert S[-1] is None and len(S) == len(ref)
         assert (exists_solution(c, spec) is None) == (ref[1][1] == _NEG)
         for s in range(1, spec.t + 1):
@@ -436,6 +457,39 @@ def test_construction_extension_witnesses_are_pinned(m, x, triples) -> None:
     validate_witness(w, c, spec)
 
 
+def _digest_cases():
+    """3 000 seeded random cases with N <= 60, then both construction
+    families for m = 2..120 with their two one-position extensions, strict
+    and not."""
+    rng = random.Random(14075122)
+    for _ in range(3000):
+        spec, c = _random_case(rng, 60)
+        yield c, spec
+    for m in range(2, 121):
+        for general in (False, True):
+            base = lower_bound_coloring(m, force_general=general)
+            for c in (base, base.extended(0), base.extended(1)):
+                for strict in (False, True):
+                    yield c, ProblemSpec((m, m, m), 2, strict)
+
+
+def test_canonical_witnesses_digest() -> None:
+    """One sha256 over the JSON of every canonical witness (or null) on
+    4 428 inputs, 2 938 of which hold a solution: a change to the checker
+    that moves any witness, or any verdict, changes the digest."""
+    h = hashlib.sha256()
+    found = 0
+    for c, spec in _digest_cases():
+        w = exists_solution(c, spec)
+        h.update(json.dumps(None if w is None else w.to_json()).encode())
+        h.update(b"\n")
+        found += w is not None
+    assert found == 2938
+    assert h.hexdigest() == (
+        "6624fc7c0a069cf830d180113e195fcfa3fc0be174c17d68101af9b4868d60e4"
+    )
+
+
 # ======================================================================
 # least (max, diam) set
 # ======================================================================
@@ -481,10 +535,11 @@ def test_least_set_against_bruteforce() -> None:
 def test_least_set_with_room_against_bruteforce() -> None:
     """The witness walk's call: an end e also needs room[e+1] >= diam + off,
     with room the reference row S[s+1], at every stage, start and diameter
-    floor. A row turns _NEG at its first dead cell and the scan stops
-    there, so cases whose least set ends at the last end before that cell
-    catch a stop one too early. At the last stage the walk passes no room
-    instead of the reference's _POS row, and gets the same answer."""
+    floor. The walk gets that row cut at its first _NEG cell, as the table
+    builds it, and the scan stops where the row ends, so cases whose least
+    set ends at the last end before the cut catch a stop one too early. At
+    the last stage the walk passes no room instead of the reference's _POS
+    row, and gets the same answer."""
     rng = random.Random(2718)
     found = at_stop = last_stage = 0
     for _ in range(150):
@@ -500,6 +555,7 @@ def test_least_set_with_room_against_bruteforce() -> None:
         for s, m in enumerate(spec.sizes, 1):
             room = rows[s + 1]
             dead = [p for p in range(1, n + 3) if room[p] == _NEG]
+            cut = room[: dead[0]] if s < t else None
             last = dead[0] - 2 if dead else None
             # Every set the room row allows, in (max, diam) order.
             sets = sorted(
@@ -516,12 +572,9 @@ def test_least_set_with_room_against_bruteforce() -> None:
                          if i >= lo and d >= req),
                         None,
                     )
-                    got = _least_set(c, m, lo, req, room, off)
+                    got = _least_set(c, m, lo, req, cut, off)
                     assert got == ref, (c, spec, s, lo, req)
-                    if s == t:
-                        got = _least_set(c, m, lo, req, None, off)
-                        assert got == ref, (c, spec, lo, req)
-                        last_stage += ref is not None
+                    last_stage += s == t and ref is not None
                     found += ref is not None
                     at_stop += ref is not None and ref[0] == last
     assert found > 5000

@@ -345,6 +345,42 @@ def test_exit_2_on_table_without_rows(capsys, flag: list[str]) -> None:
         assert err == f"error: --m-max must be >= 2, got {m_max}\n"
 
 
+_COMPUTE = ["compute", "--sizes", "2,2", "--colors", "2"]
+_TABLE = ["table", "--family", "mm2", "--m-max", "2"]
+_SWEEP = ["check-lemma", "--which", "2.1", "--m", "2", "--exhaustive"]
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (_COMPUTE + ["--cap", "0"], None, "--cap must be >= 1, got 0"),
+        (_COMPUTE + ["--cap", "-4"], None, "--cap must be >= 1, got -4"),
+        (_COMPUTE + ["--workers", "0"], None, "--workers must be >= 1, got 0"),
+        (_TABLE + ["--workers", "0"], None, "--workers must be >= 1, got 0"),
+        (_SWEEP + ["--workers", "0"], None, "--workers must be >= 1, got 0"),
+        (_COMPUTE + ["--workers", "-1"], "2",
+         "--workers must be >= 1, got -1"),
+        (_COMPUTE, "0", "DIAM_RAMSEY_WORKERS must be >= 1, got 0"),
+        (_TABLE, "0", "DIAM_RAMSEY_WORKERS must be >= 1, got 0"),
+        (_SWEEP, "-2", "DIAM_RAMSEY_WORKERS must be >= 1, got -2"),
+    ],
+)
+def test_exit_2_names_the_count_option(
+    capsys, monkeypatch, argv: list[str], env: str | None, message: str,
+    flag: list[str],
+) -> None:
+    """A count below 1 is refused in the words of the option or the
+    variable that gave it, before any search or sweep runs."""
+    if env is None:
+        monkeypatch.delenv("DIAM_RAMSEY_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DIAM_RAMSEY_WORKERS", env)
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_table_row_over_budget_is_skipped(capsys, monkeypatch) -> None:
     # f(2,2;2) takes 45 nodes and f(3,3;2) 647: only the second row is cut
     monkeypatch.setattr(cli_mod, "_TABLE_NODE_BUDGET", 100)

@@ -6,6 +6,7 @@ fails on an imported name the module never reads (__init__.py is left
 out: its imports are the re-exports), and on a module-level _name (a
 function, a class or an assignment target) or a private method that no
 module of the package reads: dead code that the tests alone keep alive.
+It also fails on a local name that a function binds and never reads.
 """
 
 from __future__ import annotations
@@ -126,4 +127,85 @@ def test_an_unread_private_name_is_found() -> None:
     }
     assert _unread_private_names(trees) == [
         "a.py line 2: _B", "a.py line 3: _C", "a.py line 9: _unused",
+    ]
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    """Names a function binds in its own body (assignment, loop, with and
+    comprehension targets, except-as names, nested def and class names)
+    and never reads anywhere in its body, nested functions included. A
+    nonlocal or global declaration counts as a read, parameters are not
+    checked, and _names are exempt."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read: set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                read.update(node.names)
+        bound: dict[str, int] = {}
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            name = None
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.ExceptHandler):
+                name = node.name
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                name = node.name
+            if name:
+                bound[name] = min(node.lineno, bound.get(name, node.lineno))
+            # A nested function, class or lambda binds in its own scope.
+            if not isinstance(
+                node,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
+            ):
+                stack.extend(ast.iter_child_nodes(node))
+        found += [
+            (line, f"line {line}: {func.name}: {name}")
+            for name, line in bound.items()
+            if name not in read and not name.startswith("_")
+        ]
+    return [text for _line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_every_local_is_read(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_locals(tree) == []
+
+
+def test_an_unread_local_is_found() -> None:
+    tree = ast.parse(
+        "def f(a, unused_arg):\n"
+        "    n = len(a)\n"
+        "    total = 0\n"
+        "    for i, x in enumerate(a):\n"
+        "        total += x\n"
+        "    hits = 0\n"
+        "    def g():\n"
+        "        nonlocal hits\n"
+        "        hits = 1\n"
+        "        kept = [y for y in a]\n"
+        "    def h():\n"
+        "        return a\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        _, _k = 1, 2\n"
+        "    return h\n"
+    )
+    assert _unread_locals(tree) == [
+        "line 2: f: n",
+        "line 3: f: total",
+        "line 4: f: i",
+        "line 7: f: g",
+        "line 10: g: kept",
+        "line 15: f: exc",
     ]

@@ -410,15 +410,17 @@ def test_sweep_violation_is_loud(monkeypatch) -> None:
 
 
 def test_sweep_violation_is_loud_on_two_workers(monkeypatch) -> None:
-    """The violation found in a worker process reaches the caller."""
-    if multiprocessing.get_start_method() != "fork":
+    """The violation found in a worker process reaches the caller. The
+    patched matchers reach the workers only by fork, so the pool is a fork
+    pool whatever the default start method is."""
+    if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("patched matchers reach the workers only by fork")
-    real_pool = search_mod.Pool
+    fork = multiprocessing.get_context("fork")
     opened = []
 
     def recording_pool(procs):
         opened.append(procs)
-        return real_pool(procs)
+        return fork.Pool(procs)
 
     _disable_matchers(monkeypatch)
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
