@@ -178,8 +178,9 @@ def _cmd_witness(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_check_lemma(args: argparse.Namespace) -> _Outcome:
+    workers = _resolve_workers(args.workers)
     if args.exhaustive:
-        report = sweep_lemmas(args.m, workers=_resolve_workers(args.workers))
+        report = sweep_lemmas(args.m, workers=workers)
         cc, bc = report.case_counts, report.branch_counts
         lines = [
             f"lemma {args.which}, m = {report.m}: "

@@ -24,7 +24,7 @@ class DiamRamseyError(Exception):
 
     The message is args[0] and each keyword field becomes an attribute, so
     the default exception pickling rebuilds an error that crosses from a
-    pool worker with every field. str() fills the class's _template from
+    worker process with every field. str() fills the class's _template from
     the message and the fields.
     """
 

@@ -36,12 +36,13 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Iterator
 
 from .checker import _least_set, _members
 from .coloring import Coloring, IntSet, _require_count, format_run_string
 from .errors import LemmaViolationError
-from .search import _SPLIT_DEPTH, _job_results
+from .search import _DEAL_PER_PART, _deal, _job_results, _parts
 
 __all__ = [
     "ExtremalB1",
@@ -400,31 +401,24 @@ class LemmaSweepReport:
 
 
 def _walk(
-    m: int, part: int, parts: int
+    m: int, prefixes: list[tuple[int, ...]]
 ) -> Iterator[tuple[Coloring, tuple[int, int, int] | None]]:
     """(c, _least_set(c, m, 1, 2m-2)) for the 2-colorings c of [1, 3m-2]
-    in part `part` of `parts`, in lex order.
+    that extend one of the given nonempty prefixes, in lex order when the
+    prefixes are.
 
-    The walk is depth first, and each child is its prefix's extended(x).
-    The prefixes of length min(3m-2, _SPLIT_DEPTH) are dealt in DFS order,
-    the i-th to part i % parts, as _search_from deals them. The big set's
-    max is the first position where any big set ends, so the shortest
-    prefix that holds a big set already holds the extremal one: a prefix
-    of length >= 2m-1 calls _least_set only while its own prefixes found
-    none, and passes what it finds to every completion below it.
+    The walk is depth first from each prefix, and each child is its
+    prefix's extended(x). The big set's max is the first position where
+    any big set ends, so the shortest prefix that holds a big set already
+    holds the extremal one: a prefix of length >= 2m-1 calls _least_set
+    only while its own prefixes found none, and passes what it finds to
+    every completion below it.
     """
     n = 3 * m - 2
-    split = min(n, _SPLIT_DEPTH)
-    dealt = 0
-    stack = [(Coloring((x,), 2), None) for x in (1, 0)]
+    stack = [(Coloring(prefix, 2), None) for prefix in reversed(prefixes)]
     while stack:
         c, big = stack.pop()
         p = len(c)
-        if p == split:
-            mine = dealt % parts == part
-            dealt += 1
-            if not mine:
-                continue
         if big is None and p >= 2 * m - 1:
             big = _least_set(c, m, 1, 2 * m - 2)
         if p == n:
@@ -433,11 +427,10 @@ def _walk(
             stack += ((c.extended(1), big), (c.extended(0), big))
 
 
-def _sweep_range(args: tuple[int, int, int]) -> Counter:
-    """Tags and branches of the colorings _walk(m, part, parts) yields."""
-    m, part, parts = args
+def _sweep_range(m: int, prefixes: list[tuple[int, ...]]) -> Counter:
+    """Tags and branches of the colorings _walk(m, prefixes) yields."""
     tally: Counter = Counter()
-    for c, big in _walk(m, part, parts):
+    for c, big in _walk(m, prefixes):
         mask = _check_lemma22(c, m, big)[0]
         if mask is None:
             tally["no_b1"] += 1
@@ -448,16 +441,29 @@ def _sweep_range(args: tuple[int, int, int]) -> Counter:
     return tally
 
 
+def _prefixes(m: int, parts: int) -> list[tuple[int, ...]]:
+    """The binary prefixes a sweep over `parts` parts deals, in lex order:
+    all 2^D of length D = min(3m-2, the least D with 2^D >= _DEAL_PER_PART
+    * parts)."""
+    depth = min(3 * m - 2, (_DEAL_PER_PART * parts - 1).bit_length())
+    return list(product((0, 1), repeat=depth))
+
+
 def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
     """Validate both lemmas over every 2-coloring of [1, 3m-2].
 
     Any violation raises LemmaViolationError out of this function; a
     returned report therefore certifies zero violations and carries the
-    case and branch frequencies.
+    case and branch frequencies. The run is cut into n = min(workers,
+    usable CPUs) parts, dealt the binary prefixes of _prefixes(m, n)
+    round-robin; the calling process walks part 0 and n - 1 child
+    processes walk the others.
     """
     _require_count(m, "m", 2)
     _require_count(workers, "workers", 1)
-    with _job_results(_sweep_range, (m,), workers) as results:
+    parts = _parts(workers)
+    jobs = [(m, dealt) for dealt in _deal(_prefixes(m, parts), parts)]
+    with _job_results(_sweep_range, jobs) as results:
         tally = sum(results, Counter())
     return LemmaSweepReport(
         m=m,

@@ -9,13 +9,17 @@ length reached together with the avoiding colorings at that length.
 compute_f explores one representative per color-permutation orbit: a
 prefix may introduce a new color only as the smallest color index not yet
 used; enumerate_avoiding expands those representatives at a length into
-their orbits. Every run is cut into n = min(workers,
-usable CPUs) parts, one process each (no process at all when n is 1).
-Each part walks the shallow levels itself and deals
-the avoiding prefixes at a fixed depth round-robin in DFS order, keeping
-only its own subtrees; the merge (max over part maxima, sorted certificate
-union, summed node counts) fixes the result, so it does not depend on the
-worker count. stats.worker_count still reports the requested count.
+their orbits. Every run is cut into n = min(workers, usable CPUs) parts.
+At n = 1 the whole walk runs in the calling process and none is started.
+At n > 1 the caller first walks the shallow levels a level at a time,
+down to the shallowest level with at least _DEAL_PER_PART * n avoiding
+prefixes, as cube-and-conquer cuts a problem into cubes, and deals those
+prefixes round-robin in lexicographic order. It then starts n - 1 child
+processes for parts 1..n-1, walks part 0 itself, and reads the children's
+results in turn; each part walks only below its own prefixes. The merge
+(max over the level and part maxima, sorted certificate union, summed
+node counts) fixes the result, so it does not depend on the worker count.
+stats.worker_count still reports the requested count.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import permutations
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
+from typing import Iterator
 
 from .checker import IncrementalState, ProblemSpec, exists_solution
 from .coloring import Coloring, _require_count, format_run_string
@@ -44,9 +49,9 @@ __all__ = [
 # Certificates each mode keeps at the best length (None: all of them).
 _CERT_CAP = {"value_only": 0, "one_certificate": 1, "all_certificates": None}
 
-# Length of the avoiding prefixes dealt to the parts of a run: the i-th in
-# DFS order goes to part i % parts, and part 0 owns every shorter prefix.
-_SPLIT_DEPTH = 12
+# A run cut into n > 1 parts deals them the avoiding prefixes of the
+# shallowest level that holds at least this many per part.
+_DEAL_PER_PART = 256
 
 
 @dataclass(frozen=True)
@@ -159,49 +164,48 @@ class _Stop(Exception):
     """Internal: a part passed max_nodes."""
 
 
-def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
-    """Walk the avoiding tree for args = (spec, n_cap, mode, guard,
-    max_nodes, part, parts), keeping part `part` of `parts`.
+def _search_from(
+    spec: ProblemSpec,
+    n_cap: int,
+    mode: str,
+    guard: int | None,
+    max_nodes: int | None,
+    prefixes: list[tuple[int, ...]],
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """Walk the avoiding tree below each of the avoiding prefixes, in order.
 
-    The avoiding prefixes of length _SPLIT_DEPTH are dealt in DFS order:
-    the i-th goes to part i % parts, and part 0 also owns every shorter
-    prefix. Every part walks the shallow levels, but it counts nodes and
-    records lengths and certificates only where it owns them, so the parts
-    add up to exactly one whole walk.
+    Each prefix is replayed into the state (keeping what it shares with the
+    one before) and only the nodes below it are walked, so [()] is the
+    whole walk and the walks below the prefixes of one level add up to the
+    walk below that level.
 
     Returns (best length, certificates at that length in lexicographic
-    order, nodes expanded) over the owned nodes; a part that owns nothing
-    returns (0, [], 0). The walk stops as soon as the count passes
-    max_nodes, so a count above it marks a partial result. Raises
+    order, nodes expanded) over the nodes below the prefixes; with none
+    avoiding it returns (0, [], nodes). The walk stops as soon as the count
+    passes max_nodes, so a count above it marks a partial result. Raises
     FormulaContradictedError when an avoiding coloring of length >= guard
     appears.
     """
-    spec, n_cap, mode, guard, max_nodes, part, parts = args
     state = IncrementalState(spec)
     # The state holds the prefix: extend appends x unless x closes a
     # solution, and retract drops it.
     extend, retract, digits = state.extend, state.retract, state._digits
     r = spec.num_colors
     cap = _CERT_CAP[mode]
-    split = _SPLIT_DEPTH
-    lead = part == 0
     best = 0
     certs: list[tuple[int, ...]] = []
     nodes = 0
-    dealt = 0
 
     def dfs(depth: int, used: int) -> None:
-        nonlocal best, nodes, dealt
+        nonlocal best, nodes
         if depth >= n_cap:
             return
         cmax = used if used < r else r - 1
         d = depth + 1
-        mine = lead or d > split
         for x in range(cmax + 1):
-            if mine:
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise _Stop
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise _Stop
             if extend(x):
                 continue
             if guard is not None and d >= guard:
@@ -212,23 +216,60 @@ def _search_from(args: tuple) -> tuple[int, list[tuple[int, ...]], int]:
                     coloring=Coloring(digits, r),
                     expected=guard,
                 )
-            keep = mine
-            if d == split:
-                keep = dealt % parts == part
-                dealt += 1
-            if keep and d >= best:
+            if d >= best:
                 if d > best:
                     best = d
                     certs.clear()
                 if cap is None or len(certs) < cap:
                     certs.append(tuple(digits))
-            if keep or d < split:
-                dfs(d, used if x < used else x + 1)
+            dfs(d, used if x < used else x + 1)
             retract()
 
     with suppress(_Stop):
-        dfs(0, 0)
+        for prefix in prefixes:
+            k = 0
+            while k < len(digits) and digits[k] == prefix[k]:
+                k += 1
+            for _ in range(len(digits) - k):
+                retract()
+            for x in prefix[k:]:
+                extend(x)
+            # A representative's colors are 0..max in order of appearance.
+            dfs(len(prefix), max(prefix, default=-1) + 1)
     return best, certs, nodes
+
+
+def _levels(
+    spec: ProblemSpec,
+    n_cap: int,
+    guard: int | None,
+    max_nodes: int | None,
+    parts: int,
+) -> tuple[tuple[int, list[tuple[int, ...]], int], list[tuple[int, ...]]]:
+    """The shallow levels of the walk, and the prefixes to deal below them.
+
+    Walks the avoiding tree a level at a time, each level one
+    _search_from call in all_certificates mode from the last level's
+    avoiding prefixes, until a level holds _DEAL_PER_PART * parts of them.
+    Returns (best, certificates, nodes) over the levels walked, in
+    _search_from's form, and that level's prefixes in lexicographic order;
+    they are [] when the levels already are the whole walk (no prefix
+    avoids one level further, or n_cap is reached) or passed max_nodes.
+    """
+    best, certs, nodes = 0, [], 0
+    prefixes: list[tuple[int, ...]] = [()]
+    while len(prefixes) < _DEAL_PER_PART * parts:
+        left = None if max_nodes is None else max_nodes - nodes
+        depth, level, count = _search_from(
+            spec, best + 1, "all_certificates", guard, left, prefixes
+        )
+        nodes += count
+        if depth > best:
+            best, certs = depth, level
+        if depth == 0 or best == n_cap or (left is not None and count > left):
+            return (best, certs, nodes), []
+        prefixes = level
+    return (best, certs, nodes), prefixes
 
 
 def _usable_cpus() -> int:
@@ -238,21 +279,69 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _job_results(fn, args: tuple, workers: int):
-    """Yield an iterator of fn(args + (k, n)) for k < n, in any order.
+def _parts(workers: int) -> int:
+    """Parts a run at this worker count is cut into: min(workers, CPUs)."""
+    return min(workers, _usable_cpus())
 
-    n = min(workers, usable CPUs) parts run one process each; with n == 1
-    fn runs in this process and none is started. Leaving the block
-    terminates the pool, whether the loop ended, broke off or raised.
+
+def _deal(prefixes: list, parts: int) -> list[list]:
+    """The prefixes dealt round-robin: part k gets the k-th, the
+    (k + parts)-th and so on, in their order."""
+    return [prefixes[k::parts] for k in range(parts)]
+
+
+def _report(conn, fn, args: tuple) -> None:
+    """A child's part: send (True, fn(*args)) or (False, its exception)."""
+    try:
+        out = True, fn(*args)
+    except Exception as exc:
+        out = False, exc
+    conn.send(out)
+
+
+def _gather(fn, first: tuple, children: list) -> Iterator:
+    """fn(*first) from this process, then each child's result in turn."""
+    yield fn(*first)
+    for proc, conn in children:
+        try:
+            ok, out = conn.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(
+                f"a worker process exited with code {proc.exitcode} "
+                "without reporting its part"
+            ) from None
+        if not ok:
+            raise out
+        yield out
+
+
+@contextmanager
+def _job_results(fn, jobs: list[tuple]):
+    """Yield an iterator of fn(*job) for each job, in order.
+
+    jobs[0] runs in this process when the iterator reaches it; each other
+    job runs in a child Process of the default start method, started on
+    entry and sending its result or exception back over a Pipe. One job
+    starts no process. Leaving the block terminates and joins every
+    child, whether the loop ended, broke off or raised.
     """
-    n = min(workers, _usable_cpus())
-    jobs = [args + (k, n) for k in range(n)]
-    if n == 1:
-        yield map(fn, jobs)
-        return
-    with Pool(n) as pool:
-        yield pool.imap_unordered(fn, jobs)
+    children = []
+    try:
+        for job in jobs[1:]:
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_report, args=(send, fn, job), daemon=True)
+            proc.start()
+            # Only the child holds the write end now: its death is an EOF.
+            send.close()
+            children.append((proc, recv))
+        yield _gather(fn, jobs[0], children)
+    finally:
+        for proc, recv in children:
+            proc.terminate()
+        for proc, recv in children:
+            proc.join()
+            recv.close()
 
 
 def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchResult:
@@ -264,6 +353,12 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     avoiding coloring at least that long raises FormulaContradictedError:
     either the formula table or the search would have to be wrong, and the
     run must fail loudly rather than return.
+
+    With n = min(config.worker_count, usable CPUs) > 1 parts, _levels walks
+    the shallow levels here and deals their prefixes, and _job_results
+    walks part 0 here and the other parts in n - 1 child processes (see
+    the module docstring); each part gets the node budget the levels left.
+    At n = 1 the walk runs here from the empty prefix.
 
     Raises:
         SearchBudgetError: more than config.max_nodes nodes expanded over
@@ -287,19 +382,30 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     t0 = time.perf_counter()
     mode = config.mode
     max_nodes = config.max_nodes
-    args = (spec, n_cap, mode, guard, max_nodes)
-    best, certs, nodes, budget_hit = 0, [], 0, False
-    with _job_results(_search_from, args, config.worker_count) as results:
-        for wbest, wcerts, wnodes in results:
-            nodes += wnodes
-            if wbest > best:
-                best, certs = wbest, wcerts
-            elif wbest == best:
-                certs.extend(wcerts)
-            # A part that hit its cap counted more than max_nodes itself.
-            if max_nodes is not None and nodes > max_nodes:
-                budget_hit = True
-                break
+    parts = _parts(config.worker_count)
+    prefixes: list[tuple[int, ...]] = [()]
+    best, certs, nodes = 0, [], 0
+    if parts > 1:
+        (best, certs, nodes), prefixes = _levels(
+            spec, n_cap, guard, max_nodes, parts
+        )
+    if prefixes:
+        left = None if max_nodes is None else max_nodes - nodes
+        jobs = [
+            (spec, n_cap, mode, guard, left, dealt)
+            for dealt in _deal(prefixes, parts)
+        ]
+        with _job_results(_search_from, jobs) as results:
+            for wbest, wcerts, wnodes in results:
+                nodes += wnodes
+                if wbest > best:
+                    best, certs = wbest, wcerts
+                elif wbest == best:
+                    certs.extend(wcerts)
+                # A part that hit its cap counted more than its share itself.
+                if max_nodes is not None and nodes > max_nodes:
+                    break
+    budget_hit = max_nodes is not None and nodes > max_nodes
     certs = sorted(certs)[: _CERT_CAP[mode]]
 
     wall = time.perf_counter() - t0

@@ -348,6 +348,7 @@ def test_exit_2_on_table_without_rows(capsys, flag: list[str]) -> None:
 _COMPUTE = ["compute", "--sizes", "2,2", "--colors", "2"]
 _TABLE = ["table", "--family", "mm2", "--m-max", "2"]
 _SWEEP = ["check-lemma", "--which", "2.1", "--m", "2", "--exhaustive"]
+_LEMMA = ["check-lemma", "--which", "2.1", "--m", "2", "--string", "0011"]
 
 
 @pytest.mark.parametrize("flag", [[], ["--json"]])
@@ -364,6 +365,8 @@ _SWEEP = ["check-lemma", "--which", "2.1", "--m", "2", "--exhaustive"]
         (_COMPUTE, "0", "DIAM_RAMSEY_WORKERS must be >= 1, got 0"),
         (_TABLE, "0", "DIAM_RAMSEY_WORKERS must be >= 1, got 0"),
         (_SWEEP, "-2", "DIAM_RAMSEY_WORKERS must be >= 1, got -2"),
+        (_LEMMA, "0", "DIAM_RAMSEY_WORKERS must be >= 1, got 0"),
+        (_LEMMA + ["--workers", "0"], None, "--workers must be >= 1, got 0"),
     ],
 )
 def test_exit_2_names_the_count_option(

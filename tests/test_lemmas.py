@@ -350,7 +350,7 @@ def test_walk_carries_each_coloring_its_big_set(m: int) -> None:
     check_lemma22."""
     n = 3 * m - 2
     seen = []
-    for c, big in lemmas_mod._walk(m, 0, 1):
+    for c, big in lemmas_mod._walk(m, lemmas_mod._prefixes(m, 1)):
         fresh = Coloring(c.digits, 2)
         assert (c._positions, c._rank) == (fresh._positions, fresh._rank)
         assert big == _least_set(c, m, 1, 2 * m - 2)
@@ -364,14 +364,19 @@ def test_walk_carries_each_coloring_its_big_set(m: int) -> None:
 def test_walk_deals_every_coloring_once(m: int) -> None:
     """Over the parts of any cut, each coloring comes exactly once, from
     the part its prefix of the deal depth was dealt to: the i-th prefix in
-    lex order goes to part i % parts. At m <= 4 that prefix is the whole
-    coloring."""
+    lex order goes to part i % parts. The deal depth is the least D with
+    2^D >= _DEAL_PER_PART * parts, or 3m-2 when that is less, so at m <= 3
+    that prefix is the whole coloring."""
     n = 3 * m - 2
-    depth = min(n, search_mod._SPLIT_DEPTH)
     for parts in (1, 2, 3, 5, 8):
+        prefixes = lemmas_mod._prefixes(m, parts)
+        depth = min(n, (search_mod._DEAL_PER_PART * parts - 1).bit_length())
+        assert prefixes == list(itertools.product((0, 1), repeat=depth))
+        wanted = search_mod._DEAL_PER_PART * parts
+        assert depth == n or 2 ** (depth - 1) < wanted <= 2 ** depth
         dealt = Counter()
-        for k in range(parts):
-            for c, _big in lemmas_mod._walk(m, k, parts):
+        for k, mine in enumerate(search_mod._deal(prefixes, parts)):
+            for c, _big in lemmas_mod._walk(m, mine):
                 prefix = int("".join(map(str, c.digits[:depth])), 2)
                 assert prefix % parts == k, (parts, c)
                 dealt[c.digits] += 1
@@ -410,24 +415,41 @@ def test_sweep_violation_is_loud(monkeypatch) -> None:
 
 
 def test_sweep_violation_is_loud_on_two_workers(monkeypatch) -> None:
-    """The violation found in a worker process reaches the caller. The
-    patched matchers reach the workers only by fork, so the pool is a fork
-    pool whatever the default start method is."""
+    """The violation found in a worker process reaches the caller, and no
+    child outlives the call. The matchers miss only in a child, so this
+    process walks its own part cleanly and the error can only come from
+    the child. The patched matchers reach the child only by fork, so the
+    child is a fork Process whatever the default start method is."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("patched matchers reach the workers only by fork")
     fork = multiprocessing.get_context("fork")
     opened = []
 
-    def recording_pool(procs):
-        opened.append(procs)
-        return fork.Pool(procs)
+    def recording_process(**kwargs):
+        opened.append(kwargs["args"][-1])
+        return fork.Process(**kwargs)
 
-    _disable_matchers(monkeypatch)
+    def in_child(miss, orig):
+        def matcher(*args):
+            if multiprocessing.parent_process() is not None:
+                return miss
+            return orig(*args)
+        return matcher
+
+    for name, miss in (
+        ("_match_case_i", None), ("_match_case_ii", False),
+        ("_match_case_iii", False),
+    ):
+        orig = getattr(lemmas_mod, name)
+        monkeypatch.setattr(lemmas_mod, name, in_child(miss, orig))
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search_mod, "Pool", recording_pool)
-    with pytest.raises(LemmaViolationError, match="LEMMA VIOLATION"):
+    monkeypatch.setattr(search_mod, "Process", recording_process)
+    with pytest.raises(LemmaViolationError, match="LEMMA VIOLATION") as exc:
         sweep_lemmas(3, workers=2)
-    assert opened == [2]
+    assert opened == [(3, lemmas_mod._prefixes(3, 2)[1::2])]
+    # Every coloring of part 1 opens with its prefix of length 7 = 3m-2.
+    assert exc.value.coloring.digits in opened[0][1]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_parallel_agrees() -> None:
@@ -435,15 +457,22 @@ def test_sweep_parallel_agrees() -> None:
 
 
 def test_sweep_parts_add_up() -> None:
-    """Summed over the parts of any cut, the counts equal the whole sweep."""
+    """Summed over the parts of any cut, at the deal depth or any other,
+    the counts equal the whole sweep."""
     whole = sweep_lemmas(4)
     expected = Counter({**whole.case_counts, **whole.branch_counts})
     for parts in (1, 2, 3, 5, 8):
-        summed = sum(
-            (lemmas_mod._sweep_range((4, k, parts)) for k in range(parts)),
-            Counter(),
-        )
-        assert summed == expected, parts
+        cuts = [lemmas_mod._prefixes(4, parts)] + [
+            list(itertools.product((0, 1), repeat=depth))
+            for depth in (1, 5, 10)
+        ]
+        for prefixes in cuts:
+            summed = sum(
+                (lemmas_mod._sweep_range(4, mine)
+                 for mine in search_mod._deal(prefixes, parts)),
+                Counter(),
+            )
+            assert summed == expected, (parts, len(prefixes))
 
 
 def test_sweep_validation() -> None:

@@ -6,9 +6,12 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+import diam_ramsey.lemmas as lemmas_mod
 import diam_ramsey.search as search_mod
 from diam_ramsey import (
     Coloring,
@@ -31,7 +34,7 @@ from diam_ramsey import (
 )
 
 
-def _no_pool(*args, **kwargs):
+def _no_process(*args, **kwargs):
     raise AssertionError("no worker process expected")
 
 
@@ -205,12 +208,17 @@ def _avoiding(spec: ProblemSpec, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def test_nodes_expanded_counts_the_avoiding_tree() -> None:
+def test_nodes_expanded_counts_the_avoiding_tree(monkeypatch) -> None:
     """nodes_expanded, derived without the search: every avoiding
     representative shorter than n_cap, the empty one included, tries
     min(r - 1, used) + 1 colors, where used counts the colors it holds.
-    At r = 2 the walk reaches past the deal depth, so two parts split it."""
-    caps = {2: search_mod._SPLIT_DEPTH + 1, 3: 9, 4: 7}
+    These trees are narrow, so at the default deal one process walks them
+    level by level; with one or eight prefixes a part, two parts split
+    them."""
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    default = search_mod._DEAL_PER_PART
+    runs = [(default, 1), (1, 2), (8, 2), (default, 2)]
+    caps = {2: 13, 3: 9, 4: 7}
     specs = itertools.product(range(1, 4), range(2, 5), (False, True))
     for t, r, strict in specs:
         spec = ProblemSpec((2,) * t, r, strict)
@@ -222,12 +230,13 @@ def test_nodes_expanded_counts_the_avoiding_tree() -> None:
             if _is_representative(d)
             and (not d or exists_solution(Coloring(d, r), spec) is None)
         )
-        for workers in (1, 2):
+        for deal, workers in runs:
+            monkeypatch.setattr(search_mod, "_DEAL_PER_PART", deal)
             config = SearchConfig(
                 n_cap=n_cap, mode="value_only", worker_count=workers
             )
             nodes = compute_f(spec, config).stats.nodes_expanded
-            assert nodes == expected, (spec.label(), workers)
+            assert nodes == expected, (spec.label(), deal, workers)
 
 
 def test_symmetry_reduction_halves_two_color_certificates() -> None:
@@ -300,18 +309,21 @@ def test_formula_contradicted_is_loud(monkeypatch) -> None:
 
 
 def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
-    """Lengths above the closed form but below the split depth are checked.
+    """Lengths above the closed form are checked above the deal depth and
+    below it.
 
-    f(2,2;2) dies at length 6, well before the split depth; every part
-    walks those levels, so the alarm comes out of a part at any count.
+    f(2,2;2) dies at length 6, so at two workers the levels the caller
+    walks before dealing raise; f(3,3,3;2) is dealt at length 11 (878
+    prefixes), so there the alarm at length 19 comes out of a part.
     """
-    spec = ProblemSpec((2, 2), 2)
-    monkeypatch.setattr(search_mod, "known_value", lambda s: 5)
-    for workers in (1, 2):
+    cases = (((2, 2), 5, 20), ((3, 3, 3), 19, 22))
+    for (sizes, expected, n_cap), workers in itertools.product(cases, (1, 2)):
+        monkeypatch.setattr(search_mod, "known_value", lambda s: expected)
+        config = SearchConfig(n_cap=n_cap, worker_count=workers)
         with pytest.raises(FormulaContradictedError) as exc:
-            compute_f(spec, SearchConfig(n_cap=20, worker_count=workers))
-        assert exc.value.expected == 5
-        assert exc.value.coloring.length == 5
+            compute_f(ProblemSpec(sizes, 2), config)
+        assert exc.value.expected == expected
+        assert exc.value.coloring.length == expected
 
 
 def test_parallel_agrees_with_sequential() -> None:
@@ -325,23 +337,31 @@ def test_parallel_agrees_with_sequential() -> None:
     assert par.stats.worker_count == 3
 
 
+def _recording_process(opened: list, process=multiprocessing.Process):
+    """A stand-in for search.Process that records each child it starts."""
+
+    def start(**kwargs):
+        opened.append(kwargs["args"][-1])
+        return process(**kwargs)
+
+    return start
+
+
 def test_pool_is_clamped_to_the_cpus(monkeypatch) -> None:
-    real_pool = search_mod.Pool
-    opened = []
-
-    def recording_pool(procs):
-        opened.append(procs)
-        return real_pool(procs)
-
-    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search_mod, "Pool", recording_pool)
-    r = compute_f(
-        ProblemSpec((3, 3, 3), 2),
-        SearchConfig(mode="value_only", worker_count=8),
-    )
-    assert opened == [2]
-    assert r.f_value == 20
-    assert r.stats.worker_count == 8
+    """Eight workers on 2 or 3 usable CPUs start one process fewer than
+    the CPUs, and none is alive after the call."""
+    for cpus in (2, 3):
+        opened = []
+        monkeypatch.setattr(search_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(search_mod, "Process", _recording_process(opened))
+        r = compute_f(
+            ProblemSpec((3, 3, 3), 2),
+            SearchConfig(mode="value_only", worker_count=8),
+        )
+        assert len(opened) == cpus - 1
+        assert r.f_value == 20
+        assert r.stats.worker_count == 8
+        assert multiprocessing.active_children() == []
 
 
 def test_usable_cpus(monkeypatch) -> None:
@@ -366,7 +386,7 @@ def test_one_cpu_starts_no_process(monkeypatch, cpus) -> None:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
     else:
         monkeypatch.setattr(search_mod, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(search_mod, "Pool", _no_pool)
+    monkeypatch.setattr(search_mod, "Process", _no_process)
     par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=8))
     assert par.f_value == seq.f_value
     assert par.certificates == seq.certificates
@@ -381,27 +401,98 @@ def test_spawn_start_method_agrees(monkeypatch) -> None:
     seq_sweep = sweep_lemmas(3)
     spawn = multiprocessing.get_context("spawn")
     opened = []
-
-    def spawn_pool(procs):
-        opened.append(procs)
-        return spawn.Pool(procs)
-
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search_mod, "Pool", spawn_pool)
+    monkeypatch.setattr(
+        search_mod, "Process", _recording_process(opened, spawn.Process)
+    )
     par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=2))
     assert par.f_value == seq.f_value
     assert par.certificates == seq.certificates
+    assert par.stats.nodes_expanded == seq.stats.nodes_expanded
     assert sweep_lemmas(3, workers=2).to_json() == seq_sweep.to_json()
-    assert opened == [2, 2]
+    assert len(opened) == 2
 
 
-def _walk_parts(spec: ProblemSpec, n_cap: int, parts: int) -> list[tuple]:
-    return [
-        search_mod._search_from(
-            (spec, n_cap, "all_certificates", None, None, k, parts)
-        )
-        for k in range(parts)
-    ]
+def _fork_process():
+    """The fork Process class; patched functions reach a child only by fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("patched parts reach the children only by fork")
+    return multiprocessing.get_context("fork").Process
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the block instead of hanging when it runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _in_children(monkeypatch, module, name: str, child) -> None:
+    """Patch module.name to run child(orig, *args) in a child process and
+    orig(*args) in this one."""
+    orig = getattr(module, name)
+
+    def part(*args):
+        if multiprocessing.parent_process() is not None:
+            return child(orig, *args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, part)
+
+
+def test_a_dead_worker_raises(monkeypatch) -> None:
+    """A child that exits without reporting is an error within seconds,
+    not a hang, for the search and the sweep alike."""
+    monkeypatch.setattr(search_mod, "Process", _fork_process())
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    for module, name in ((search_mod, "_search_from"),
+                         (lemmas_mod, "_sweep_range")):
+        _in_children(monkeypatch, module, name, lambda *a: os._exit(3))
+    message = "worker process exited with code 3 without reporting"
+    with _deadline(30):
+        with pytest.raises(RuntimeError, match=message):
+            compute_f(ProblemSpec((3, 3, 3), 2), SearchConfig(worker_count=2))
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match=message):
+            sweep_lemmas(3, workers=2)
+        assert multiprocessing.active_children() == []
+
+
+def test_no_child_outlives_a_call(monkeypatch) -> None:
+    """No child is alive after a return, after a budget break that leaves
+    the child's part unread, or after an error raised in the child."""
+    monkeypatch.setattr(search_mod, "Process", _fork_process())
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    spec = ProblemSpec((3, 3, 3), 2)
+    with _deadline(30):
+        assert compute_f(spec, SearchConfig(worker_count=2)).f_value == 20
+        assert multiprocessing.active_children() == []
+        assert sweep_lemmas(3, workers=2).total == 128
+        assert multiprocessing.active_children() == []
+        # 1 983 nodes on the levels, then this process's part passes the
+        # 3 017 left, long before the child's part of about 12 000 ends.
+        with pytest.raises(SearchBudgetError):
+            compute_f(spec, SearchConfig(worker_count=2, max_nodes=5000))
+        assert multiprocessing.active_children() == []
+
+        def contradict(orig, spec, n_cap, mode, guard, max_nodes, prefixes):
+            return orig(spec, n_cap, mode, 12, max_nodes, prefixes)
+
+        _in_children(monkeypatch, search_mod, "_search_from", contradict)
+        with pytest.raises(FormulaContradictedError) as exc:
+            compute_f(spec, SearchConfig(worker_count=2))
+        # The child's prefixes have length 11; the first node below raises.
+        assert (exc.value.expected, exc.value.coloring.length) == (12, 12)
+        assert multiprocessing.active_children() == []
 
 
 def _merge_parts(results: list[tuple]) -> tuple:
@@ -419,19 +510,35 @@ def _merge_parts(results: list[tuple]) -> tuple:
     "sizes, colors, n_cap",
     [((3, 3, 3), 2, 22), ((2, 2), 4, 17), ((2, 2), 2, 20)],
 )
-def test_parts_add_up_to_one_walk(sizes, colors, n_cap) -> None:
-    """Every cut into parts merges to the whole walk, nodes included.
+def test_parts_add_up_to_one_walk(monkeypatch, sizes, colors, n_cap) -> None:
+    """Every deal into parts merges with the levels walked before it to
+    the whole walk, nodes included, at the default deal depth and at the
+    shallower ones of fewer prefixes a part.
 
-    f(2,2;4) deals only 125 prefixes at the split depth, and f(2,2;2)
-    dies above it, so there every part but part 0 owns nothing.
+    f(2,2;2) dies at length 6 and f(2,2;4) at 8 parts never reaches 2 048
+    prefixes on one level, so there the levels are the whole walk and
+    nothing is dealt.
     """
     spec = ProblemSpec(sizes, colors)
-    whole = _merge_parts(_walk_parts(spec, n_cap, 1))
-    for parts in (2, 3, 5, 8):
-        results = _walk_parts(spec, n_cap, parts)
-        assert _merge_parts(results) == whole
-        if whole[0] < search_mod._SPLIT_DEPTH:
-            assert results[1:] == [(0, [], 0)] * (parts - 1)
+
+    def walk(prefixes):
+        return search_mod._search_from(
+            spec, n_cap, "all_certificates", None, None, prefixes
+        )
+
+    whole = _merge_parts([walk([()])])
+    for deal, parts in itertools.product(
+        (1, 4, search_mod._DEAL_PER_PART), (2, 3, 5, 8)
+    ):
+        monkeypatch.setattr(search_mod, "_DEAL_PER_PART", deal)
+        levels, prefixes = search_mod._levels(spec, n_cap, None, None, parts)
+        if not prefixes:
+            assert _merge_parts([levels]) == whole
+            continue
+        assert len(prefixes) >= deal * parts
+        assert {len(p) for p in prefixes} == {levels[0]}
+        results = [walk(dealt) for dealt in search_mod._deal(prefixes, parts)]
+        assert _merge_parts([levels] + results) == whole, (deal, parts)
 
 
 def test_parallel_inconclusive_and_one_certificate() -> None:
