@@ -79,7 +79,12 @@ class ProblemSpec:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+        try:
+            object.__setattr__(self, "sizes", tuple(self.sizes))
+        except TypeError:
+            raise ValueError(
+                f"sizes must be a sequence of set sizes, got {self.sizes!r}"
+            ) from None
         if len(self.sizes) < 1:
             raise ValueError("need at least one set size")
         for m in self.sizes:

@@ -120,12 +120,14 @@ class Coloring:
 
     def color_at(self, p: int) -> int:
         """Color of position p, 1-based."""
+        _require_int(p, "position")
         if not 1 <= p <= len(self._digits):
             raise IndexError(f"position {p} outside [1, {len(self._digits)}]")
         return self._digits[p - 1]
 
     def positions_of(self, color: int) -> tuple[int, ...]:
         """All positions of `color`, ascending."""
+        _require_int(color, "color")
         if not 0 <= color < self._num_colors:
             raise ValueError(
                 f"color {color} out of range 0..{self._num_colors - 1}"

@@ -463,8 +463,7 @@ def sweep_lemmas(m: int, workers: int = 1) -> LemmaSweepReport:
     _require_count(workers, "workers", 1)
     parts = _parts(workers)
     jobs = [(m, dealt) for dealt in _deal(_prefixes(m, parts), parts)]
-    with _job_results(_sweep_range, jobs) as results:
-        tally = sum(results, Counter())
+    tally = sum(_job_results(_sweep_range, jobs), Counter())
     return LemmaSweepReport(
         m=m,
         total=1 << (3 * m - 2),

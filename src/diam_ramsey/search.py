@@ -16,21 +16,20 @@ down to the shallowest level with at least _DEAL_PER_PART * n avoiding
 prefixes, as cube-and-conquer cuts a problem into cubes, and deals those
 prefixes round-robin in lexicographic order. It then starts n - 1 child
 processes for parts 1..n-1, walks part 0 itself, and reads the children's
-results in turn; each part walks only below its own prefixes. The merge
-(max over the level and part maxima, sorted certificate union, summed
-node counts) fixes the result, so it does not depend on the worker count.
-stats.worker_count still reports the requested count.
+results in turn; each part walks only below its own prefixes. One merge
+of the levels and the parts (max depth, sorted certificate union at that
+depth, summed node counts) fixes the result, so it does not depend on the
+worker count. stats.worker_count still reports the requested count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from itertools import permutations
 from multiprocessing import Pipe, Process
-from typing import Iterator
 
 from .checker import IncrementalState, ProblemSpec, exists_solution
 from .coloring import Coloring, _require_count, format_run_string
@@ -245,31 +244,30 @@ def _levels(
     guard: int | None,
     max_nodes: int | None,
     parts: int,
-) -> tuple[tuple[int, list[tuple[int, ...]], int], list[tuple[int, ...]]]:
+) -> tuple[list[tuple], list[tuple[int, ...]]]:
     """The shallow levels of the walk, and the prefixes to deal below them.
 
-    Walks the avoiding tree a level at a time, each level one
-    _search_from call in all_certificates mode from the last level's
-    avoiding prefixes, until a level holds _DEAL_PER_PART * parts of them.
-    Returns (best, certificates, nodes) over the levels walked, in
-    _search_from's form, and that level's prefixes in lexicographic order;
-    they are [] when the levels already are the whole walk (no prefix
-    avoids one level further, or n_cap is reached) or passed max_nodes.
+    Walks the avoiding tree a level at a time, each level one _search_from
+    call in all_certificates mode one deeper than the last level's avoiding
+    prefixes, until a level holds _DEAL_PER_PART * parts of them. Returns
+    the levels' _search_from triples, in order, and that level's prefixes
+    in lexicographic order; they are [] when the levels already are the
+    whole walk (no prefix avoids one level further, or n_cap is reached)
+    or passed max_nodes.
     """
-    best, certs, nodes = 0, [], 0
+    walked, nodes = [], 0
     prefixes: list[tuple[int, ...]] = [()]
     while len(prefixes) < _DEAL_PER_PART * parts:
         left = None if max_nodes is None else max_nodes - nodes
-        depth, level, count = _search_from(
-            spec, best + 1, "all_certificates", guard, left, prefixes
+        depth, level, count = walk = _search_from(
+            spec, len(prefixes[0]) + 1, "all_certificates", guard, left, prefixes
         )
+        walked.append(walk)
         nodes += count
-        if depth > best:
-            best, certs = depth, level
-        if depth == 0 or best == n_cap or (left is not None and count > left):
-            return (best, certs, nodes), []
+        if depth in (0, n_cap) or (left is not None and count > left):
+            return walked, []
         prefixes = level
-    return (best, certs, nodes), prefixes
+    return walked, prefixes
 
 
 def _usable_cpus() -> int:
@@ -291,40 +289,23 @@ def _deal(prefixes: list, parts: int) -> list[list]:
 
 
 def _report(conn, fn, args: tuple) -> None:
-    """A child's part: send (True, fn(*args)) or (False, its exception)."""
+    """A child's part: send fn(*args), or the exception it raised."""
     try:
-        out = True, fn(*args)
+        out = fn(*args)
     except Exception as exc:
-        out = False, exc
+        out = exc
     conn.send(out)
 
 
-def _gather(fn, first: tuple, children: list) -> Iterator:
-    """fn(*first) from this process, then each child's result in turn."""
-    yield fn(*first)
-    for proc, conn in children:
-        try:
-            ok, out = conn.recv()
-        except EOFError:
-            proc.join()
-            raise RuntimeError(
-                f"a worker process exited with code {proc.exitcode} "
-                "without reporting its part"
-            ) from None
-        if not ok:
-            raise out
-        yield out
+def _job_results(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs]: jobs[0] here, each other job in a child.
 
-
-@contextmanager
-def _job_results(fn, jobs: list[tuple]):
-    """Yield an iterator of fn(*job) for each job, in order.
-
-    jobs[0] runs in this process when the iterator reaches it; each other
-    job runs in a child Process of the default start method, started on
-    entry and sending its result or exception back over a Pipe. One job
-    starts no process. Leaving the block terminates and joins every
-    child, whether the loop ended, broke off or raised.
+    Each child is a Process of the default start method, started before
+    jobs[0] runs and sending its result or exception back over a Pipe (no
+    fn returns an exception). The children are read in turn; a child's
+    exception is raised here, and one that dies without reporting is a
+    RuntimeError, not a hang. One job starts no process. Returned or
+    raised, every child is terminated and joined and its Pipe end closed.
     """
     children = []
     try:
@@ -335,7 +316,20 @@ def _job_results(fn, jobs: list[tuple]):
             # Only the child holds the write end now: its death is an EOF.
             send.close()
             children.append((proc, recv))
-        yield _gather(fn, jobs[0], children)
+        results = [fn(*jobs[0])]
+        for proc, recv in children:
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a worker process exited with code {proc.exitcode} "
+                    "without reporting its part"
+                ) from None
+            if isinstance(out, Exception):
+                raise out
+            results.append(out)
+        return results
     finally:
         for proc, recv in children:
             proc.terminate()
@@ -357,15 +351,16 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     With n = min(config.worker_count, usable CPUs) > 1 parts, _levels walks
     the shallow levels here and deals their prefixes, and _job_results
     walks part 0 here and the other parts in n - 1 child processes (see
-    the module docstring); each part gets the node budget the levels left.
-    At n = 1 the walk runs here from the empty prefix.
+    the module docstring); each part stops after the nodes the levels left
+    of max_nodes. At n = 1 the walk runs here from the empty prefix.
 
     Raises:
         SearchBudgetError: more than config.max_nodes nodes expanded over
             the whole search. The raise/return decision is the same at
             every worker count; the partial statistics riding on the
             exception may differ.
-        FormulaContradictedError: see above.
+        FormulaContradictedError: see above; a part raises it even when
+            another part passed the budget.
         ValueError: no n_cap given and no closed form known for the spec.
     """
     if config is None:
@@ -383,28 +378,20 @@ def compute_f(spec: ProblemSpec, config: SearchConfig | None = None) -> SearchRe
     mode = config.mode
     max_nodes = config.max_nodes
     parts = _parts(config.worker_count)
-    prefixes: list[tuple[int, ...]] = [()]
-    best, certs, nodes = 0, [], 0
+    walked, prefixes = [], [()]
     if parts > 1:
-        (best, certs, nodes), prefixes = _levels(
-            spec, n_cap, guard, max_nodes, parts
-        )
+        walked, prefixes = _levels(spec, n_cap, guard, max_nodes, parts)
     if prefixes:
-        left = None if max_nodes is None else max_nodes - nodes
+        done = sum(count for _, _, count in walked)
+        left = None if max_nodes is None else max_nodes - done
         jobs = [
             (spec, n_cap, mode, guard, left, dealt)
             for dealt in _deal(prefixes, parts)
         ]
-        with _job_results(_search_from, jobs) as results:
-            for wbest, wcerts, wnodes in results:
-                nodes += wnodes
-                if wbest > best:
-                    best, certs = wbest, wcerts
-                elif wbest == best:
-                    certs.extend(wcerts)
-                # A part that hit its cap counted more than its share itself.
-                if max_nodes is not None and nodes > max_nodes:
-                    break
+        walked += _job_results(_search_from, jobs)
+    best = max(depth for depth, _, _ in walked)
+    certs = [c for depth, found, _ in walked if depth == best for c in found]
+    nodes = sum(count for _, _, count in walked)
     budget_hit = max_nodes is not None and nodes > max_nodes
     certs = sorted(certs)[: _CERT_CAP[mode]]
 

@@ -105,6 +105,15 @@ def test_spec_strict_must_be_a_bool(strict) -> None:
     assert str(exc.value) == f"strict must be a bool, got {strict!r}"
 
 
+@pytest.mark.parametrize("sizes", [5, None, 2.0])
+def test_spec_sizes_must_be_a_sequence(sizes) -> None:
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec(sizes, 2)
+    assert str(exc.value) == (
+        f"sizes must be a sequence of set sizes, got {sizes!r}"
+    )
+
+
 def test_witness_shape() -> None:
     w = Witness((IntSet([1, 2]), IntSet([3, 5])), (0, 1))
     assert w.diams == (1, 2)

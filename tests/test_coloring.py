@@ -93,6 +93,30 @@ def test_positions_of_rejects_colors_out_of_range(color) -> None:
         c.positions_of(color)
 
 
+@pytest.mark.parametrize("color", [1.0, "1", None, True, False])
+def test_positions_of_rejects_non_integer_colors(color) -> None:
+    """A bool would index its int's row; a float or str would not index."""
+    c = parse_run_string("0^210^3", 2)
+    with pytest.raises(ValueError) as exc:
+        c.positions_of(color)
+    assert str(exc.value) == f"color must be an integer, got {color!r}"
+
+
+@pytest.mark.parametrize("p", [1.0, "1", None, True])
+def test_color_at_rejects_non_integer_positions(p) -> None:
+    c = parse_run_string("0^210^3", 2)
+    with pytest.raises(ValueError) as exc:
+        c.color_at(p)
+    assert str(exc.value) == f"position must be an integer, got {p!r}"
+
+
+@pytest.mark.parametrize("p", [0, -1, 7])
+def test_color_at_rejects_positions_out_of_range(p) -> None:
+    c = parse_run_string("0^210^3", 2)
+    with pytest.raises(IndexError, match=f"^position {p} outside \\[1, 6\\]$"):
+        c.color_at(p)
+
+
 def test_extended_is_a_new_coloring() -> None:
     c = Coloring([0, 1], 2)
     d = c.extended(0)

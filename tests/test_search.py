@@ -277,18 +277,31 @@ def test_budget_abort_carries_partial_stats() -> None:
     assert exc.value.stats.nodes_expanded >= 50
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_budget_is_one_total_at_every_worker_count(workers: int) -> None:
-    """f(3,3,3;2) expands 26 551 nodes at every worker count."""
+def _level_nodes(spec: ProblemSpec, n_cap: int, parts: int) -> int:
+    """Nodes the levels walk before a run at this many parts deals."""
+    levels, _ = search_mod._levels(spec, n_cap, None, None, parts)
+    return sum(count for _, _, count in levels)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_budget_is_one_total_at_every_worker_count(monkeypatch, workers) -> None:
+    """f(3,3,3;2) expands 26 551 nodes at every worker count, and every
+    smaller budget stops it: one below, at and one above the nodes the
+    levels walk at 2, 3 and 8 parts, and one below the whole walk."""
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 8)
     spec = ProblemSpec((3, 3, 3), 2)
+    levels = {parts: _level_nodes(spec, 22, parts) for parts in (2, 3, 8)}
+    assert levels == {2: 1983, 3: 1983, 8: 6655}
 
     def run(max_nodes: int):
         return compute_f(spec, SearchConfig(
             mode="value_only", worker_count=workers, max_nodes=max_nodes
         ))
 
-    with pytest.raises(SearchBudgetError):
-        run(26550)
+    budgets = {n + d for n in levels.values() for d in (-1, 0, 1)}
+    for max_nodes in sorted(budgets) + [26550]:
+        with pytest.raises(SearchBudgetError):
+            run(max_nodes)
     r = run(26551)
     assert r.f_value == 20
     assert r.stats.nodes_expanded == 26551
@@ -326,7 +339,8 @@ def test_formula_contradicted_is_loud_in_parallel(monkeypatch) -> None:
         assert exc.value.coloring.length == expected
 
 
-def test_parallel_agrees_with_sequential() -> None:
+def test_parallel_agrees_with_sequential(monkeypatch) -> None:
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 8)
     spec = ProblemSpec((2, 2, 2), 2)
     seq = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=1))
     par = compute_f(spec, SearchConfig(mode="all_certificates", worker_count=3))
@@ -468,8 +482,8 @@ def test_a_dead_worker_raises(monkeypatch) -> None:
 
 
 def test_no_child_outlives_a_call(monkeypatch) -> None:
-    """No child is alive after a return, after a budget break that leaves
-    the child's part unread, or after an error raised in the child."""
+    """No child is alive after a return, after a budget stop, or after an
+    error raised in the child."""
     monkeypatch.setattr(search_mod, "Process", _fork_process())
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
     spec = ProblemSpec((3, 3, 3), 2)
@@ -479,7 +493,7 @@ def test_no_child_outlives_a_call(monkeypatch) -> None:
         assert sweep_lemmas(3, workers=2).total == 128
         assert multiprocessing.active_children() == []
         # 1 983 nodes on the levels, then this process's part passes the
-        # 3 017 left, long before the child's part of about 12 000 ends.
+        # 3 017 left, and the child's part stops there too.
         with pytest.raises(SearchBudgetError):
             compute_f(spec, SearchConfig(worker_count=2, max_nodes=5000))
         assert multiprocessing.active_children() == []
@@ -492,6 +506,31 @@ def test_no_child_outlives_a_call(monkeypatch) -> None:
             compute_f(spec, SearchConfig(worker_count=2))
         # The child's prefixes have length 11; the first node below raises.
         assert (exc.value.expected, exc.value.coloring.length) == (12, 12)
+        assert multiprocessing.active_children() == []
+
+
+def test_a_part_error_beats_a_budget_overrun(monkeypatch) -> None:
+    """A child's FormulaContradictedError is raised even when this
+    process's part passed the budget before the child was read."""
+    monkeypatch.setattr(search_mod, "Process", _fork_process())
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    spec = ProblemSpec((3, 3, 3), 2)
+    # 1 983 nodes on the levels leave 3 017, and part 0 walks past them.
+    levels, prefixes = search_mod._levels(spec, 22, 20, 5000, 2)
+    left = 5000 - sum(count for _, _, count in levels)
+    first = search_mod._deal(prefixes, 2)[0]
+    part0 = search_mod._search_from(spec, 22, "one_certificate", 20, left, first)
+    assert (left, part0[2] > left) == (3017, True)
+
+    def contradict(orig, spec, n_cap, mode, guard, max_nodes, prefixes):
+        return orig(spec, n_cap, mode, 12, max_nodes, prefixes)
+
+    _in_children(monkeypatch, search_mod, "_search_from", contradict)
+    with _deadline(30):
+        with pytest.raises(FormulaContradictedError) as exc:
+            compute_f(spec, SearchConfig(worker_count=2, max_nodes=5000))
+        assert exc.value.expected == 12
+        assert exc.value.coloring.length == 12
         assert multiprocessing.active_children() == []
 
 
@@ -533,15 +572,20 @@ def test_parts_add_up_to_one_walk(monkeypatch, sizes, colors, n_cap) -> None:
         monkeypatch.setattr(search_mod, "_DEAL_PER_PART", deal)
         levels, prefixes = search_mod._levels(spec, n_cap, None, None, parts)
         if not prefixes:
-            assert _merge_parts([levels]) == whole
+            assert _merge_parts(levels) == whole
             continue
         assert len(prefixes) >= deal * parts
-        assert {len(p) for p in prefixes} == {levels[0]}
+        # Level k walks depth k, and the prefixes dealt are the last one's.
+        assert [depth for depth, _, _ in levels] == list(
+            range(1, len(levels) + 1)
+        )
+        assert {len(p) for p in prefixes} == {levels[-1][0]}
         results = [walk(dealt) for dealt in search_mod._deal(prefixes, parts)]
-        assert _merge_parts([levels] + results) == whole, (deal, parts)
+        assert _merge_parts(levels + results) == whole, (deal, parts)
 
 
-def test_parallel_inconclusive_and_one_certificate() -> None:
+def test_parallel_inconclusive_and_one_certificate(monkeypatch) -> None:
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 8)
     spec = ProblemSpec((3, 3), 2)
     seq = compute_f(spec, SearchConfig(n_cap=9, worker_count=1))
     par = compute_f(spec, SearchConfig(n_cap=9, worker_count=2))
