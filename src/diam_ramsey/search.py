@@ -283,9 +283,11 @@ def _parts(workers: int) -> int:
 
 
 def _deal(prefixes: list, parts: int) -> list[list]:
-    """The prefixes dealt round-robin: part k gets the k-th, the
-    (k + parts)-th and so on, in their order."""
-    return [prefixes[k::parts] for k in range(parts)]
+    """The prefixes dealt round-robin into n = min(parts, len(prefixes))
+    parts, so none is empty: part k gets the k-th, the (k + n)-th and so
+    on, in their order."""
+    n = min(parts, len(prefixes))
+    return [prefixes[k::n] for k in range(n)]
 
 
 def _report(conn, fn, args: tuple) -> None:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import diam_ramsey.search as search_mod
 from diam_ramsey import (
     Coloring,
     ProblemSpec,
@@ -66,7 +67,7 @@ def test_criterion_2_three_sets_closed_form() -> None:
 
 @pytest.mark.slow
 def test_criterion_2_stretch_m5_search() -> None:
-    """Full search value for f(5,5,5;2); takes a few minutes."""
+    """Full search value for f(5,5,5;2); about 40-70 s on 2 vCPUs."""
     r = compute_f(ProblemSpec((5, 5, 5), 2), SearchConfig(worker_count=8))
     assert r.f_value == 38
     assert r.certificates[0].length == 37
@@ -179,8 +180,11 @@ def test_criterion_8_oracle_equivalence() -> None:
           "and 10^4 random instances")
 
 
-def test_criterion_9_worker_determinism() -> None:
-    """Worker counts 1, 4, 8 give identical values and certificate sets."""
+def test_criterion_9_worker_determinism(monkeypatch) -> None:
+    """Worker counts 1, 4, 8 give identical values, certificate sets, node
+    counts and depths. Eight usable CPUs are patched in, so 4 and 8
+    workers cut 4 and 8 parts on any host."""
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 8)
     for m in (2, 3, 4):
         spec = ProblemSpec((m, m, m), 2)
         outcomes = []
@@ -188,8 +192,12 @@ def test_criterion_9_worker_determinism() -> None:
             r = compute_f(
                 spec, SearchConfig(mode="all_certificates", worker_count=w)
             )
-            outcomes.append(
-                (r.f_value, tuple(c.digits for c in r.certificates))
-            )
+            outcomes.append((
+                r.f_value,
+                tuple(c.digits for c in r.certificates),
+                r.stats.nodes_expanded,
+                r.stats.max_depth,
+            ))
         assert outcomes[0] == outcomes[1] == outcomes[2], m
-    print("PASS criterion 9: identical results across worker counts 1/4/8")
+    print("PASS criterion 9: identical results and node counts across "
+          "worker counts 1/4/8")

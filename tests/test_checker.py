@@ -199,37 +199,6 @@ def test_exists_requires_matching_palette() -> None:
     validate_witness(w, c, ProblemSpec((2,), 2))
 
 
-def test_exists_vs_brute_exhaustive_small() -> None:
-    specs = [
-        ProblemSpec((2, 2), 2),
-        ProblemSpec((2, 3), 2),
-        ProblemSpec((2, 2), 2, strict=True),
-        ProblemSpec((2, 2, 2), 2),
-    ]
-    for spec in specs:
-        for n in range(1, 11):
-            for bits in range(1 << n):
-                c = Coloring([(bits >> x) & 1 for x in range(n)], 2)
-                got = exists_solution(c, spec)
-                ref = brute_force_exists(c, spec)
-                assert (got is None) == (ref is None), (spec.label(), c)
-                if got is not None:
-                    validate_witness(got, c, spec)
-
-
-def test_exists_three_colors_vs_brute() -> None:
-    spec = ProblemSpec((2, 2), 3)
-    for n in range(1, 8):
-        for word in range(3 ** n):
-            digits, x = [], word
-            for _ in range(n):
-                digits.append(x % 3)
-                x //= 3
-            c = Coloring(digits, 3)
-            got = exists_solution(c, spec)
-            assert (got is None) == (brute_force_exists(c, spec) is None)
-
-
 def test_witness_is_canonical() -> None:
     """The returned chain minimizes (max B1, diam B1, max B2, ...) lexicographically."""
     rng = random.Random(424242)
@@ -412,27 +381,6 @@ def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
     assert dead > cells // 4
 
 
-def test_three_routes_agree_on_random_specs() -> None:
-    """Suffix DP, brute oracle and an incremental replay on unequal sizes,
-    t = 1..4, r = 2..5, strict and not; every witness validates, and its
-    sets are sorted and distinct as IntSet(...) would make them."""
-    rng = random.Random(8086)
-    found = 0
-    for _ in range(3000):
-        spec, c = _random_case(rng, 14)
-        got = exists_solution(c, spec)
-        ref = brute_force_exists(c, spec)
-        state = IncrementalState(spec)
-        replay = any(state.extend(x) for x in c.digits)
-        assert (got is None) == (ref is None) == (not replay), (c, spec.label())
-        for w in (got, ref):
-            if w is not None:
-                validate_witness(w, c, spec)
-                assert all(s == IntSet(s.elements) for s in w.sets)
-        found += got is not None
-    assert 300 < found < 2700
-
-
 def test_canonical_witness_frozen_examples() -> None:
     spec = ProblemSpec((2, 2, 2), 2)
     w = exists_solution(parse_run_string("0^510^51", 2), spec)
@@ -602,166 +550,28 @@ def test_brute_oracle_cap() -> None:
         brute_force_exists(Coloring([0] * 21, 2), spec)
 
 
-def test_brute_witness_validates() -> None:
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randrange(4, 13)
-        c = Coloring([rng.randrange(2) for _ in range(n)], 2)
-        spec = ProblemSpec((2, 2), 2)
-        w = brute_force_exists(c, spec)
+# ======================================================================
+# the differential harness: suffix DP, brute oracle and incremental DP
+# ======================================================================
+#
+# Every existence engine is checked here against the others: whole
+# colorings go through _routes_agree, extend/retract sequences through
+# _Checked. A new engine joins by adding its answer to both.
+
+def _routes_agree(c: Coloring, spec: ProblemSpec) -> bool:
+    """Whether c holds a solution, on which the suffix DP, the brute oracle
+    (up to DEFAULT_ORACLE_CAP) and an incremental replay agree. Both
+    witnesses validate, and their sets are sorted and distinct."""
+    got = exists_solution(c, spec)
+    ref = got if c.length > DEFAULT_ORACLE_CAP else brute_force_exists(c, spec)
+    state = IncrementalState(spec)
+    replay = any(state.extend(x) for x in c.digits)
+    assert (got is None) == (ref is None) == (not replay), (c, spec.label())
+    for w in (got, ref):
         if w is not None:
             validate_witness(w, c, spec)
-
-
-# ======================================================================
-# incremental state
-# ======================================================================
-
-def test_incremental_matches_exists_on_prefixes() -> None:
-    rng = random.Random(31337)
-    for spec in (
-        ProblemSpec((2, 2), 2),
-        ProblemSpec((2, 2, 2), 2),
-        ProblemSpec((3, 3), 2),
-        ProblemSpec((2, 2), 2, strict=True),
-        ProblemSpec((2, 2), 3),
-    ):
-        state = IncrementalState(spec)
-        digits: list[int] = []
-        for _ in range(60):
-            k = rng.randrange(spec.num_colors)
-            closes = state.extend(k)
-            c = Coloring(digits + [k], spec.num_colors)
-            assert closes == (exists_solution(c, spec) is not None)
-            if not closes:
-                digits.append(k)
-            assert state._digits == digits
-    # Constructions of length f(m,m,m;2) - 1 avoid and every one-position
-    # extension closes; at m = 12 (length 97) the rows double twice.
-    for m in (5, 12):
-        spec = ProblemSpec((m, m, m), 2)
-        state = IncrementalState(spec)
-        digits = list(lower_bound_coloring(m).digits)
-        assert not any(state.extend(x) for x in digits)
-        for x in (0, 1):
-            assert state.extend(x)
-        assert state._digits == digits
-
-
-def _continuation_flags(state: IncrementalState, r: int, depth: int) -> list:
-    """Whether each continuation of up to `depth` positions closes, in DFS
-    order, walked by extend/retract so the state ends as it began."""
-    flags = []
-    for x in range(r):
-        closes = state.extend(x)
-        flags.append(closes)
-        if not closes:
-            if depth > 1:
-                flags.append(_continuation_flags(state, r, depth - 1))
-            state.retract()
-    return flags
-
-
-def test_incremental_retract_restores() -> None:
-    """extend then retract leaves a state that behaves as a fresh replay of
-    the same prefix, also after stages became satisfiable and were undone."""
-    rng = random.Random(2718)
-    for spec in (
-        ProblemSpec((2, 2), 2),
-        ProblemSpec((2, 3, 2), 2),
-        ProblemSpec((3, 2), 2, strict=True),
-        ProblemSpec((2, 2, 2), 3),
-    ):
-        r = spec.num_colors
-        for _ in range(30):
-            state = IncrementalState(spec)
-            prefix: list[int] = []
-            while len(prefix) < 12:
-                for x in rng.sample(range(r), r):
-                    if not state.extend(x):
-                        prefix.append(x)
-                        break
-                else:
-                    break
-            for x in rng.choices(range(r), k=3):
-                if state.extend(x):
-                    break
-            while state.length > len(prefix):
-                state.retract()
-            fresh = IncrementalState(spec)
-            for x in prefix:
-                fresh.extend(x)
-            assert state.length == fresh.length == len(prefix)
-            assert state._k == fresh._k < spec.t
-            assert _continuation_flags(state, r, 4) == _continuation_flags(
-                fresh, r, 4
-            ), (spec.label(), prefix)
-
-
-def _dp_flags(digits: list[int], spec: ProblemSpec, depth: int) -> list:
-    """_continuation_flags of the prefix `digits`, read from the suffix DP."""
-    flags = []
-    for x in range(spec.num_colors):
-        digits.append(x)
-        found = exists_solution(Coloring(digits, spec.num_colors), spec)
-        flags.append(found is not None)
-        if found is None and depth > 1:
-            flags.append(_dp_flags(digits, spec, depth - 1))
-        digits.pop()
-    return flags
-
-
-def test_incremental_closing_extend_leaves_no_trace() -> None:
-    """A closing extend checks stage t first and returns before it writes
-    anything. An extend at p with a color that does not close, after it,
-    must write stages 1..t-1 at p over the cells an earlier branch left:
-    the state then continues as a fresh replay and the suffix DP do. The
-    walk goes on from that state. t = 1 has no stage t-1 (its closing
-    stage is stage 1); for t = 2..4, some cases must have stage t-1
-    improve at p, where a stale cell would show."""
-    improved = dict.fromkeys(range(2, 5), 0)
-    for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
-        spec = ProblemSpec((2,) * t, r, strict)
-        rng = random.Random(1000 * t + 10 * r + strict)
-        state = IncrementalState(spec)
-        prefix: list[int] = []
-        cases = nodes = 0
-
-        def walk() -> None:
-            nonlocal cases, nodes
-            closing = []
-            for x in range(r):
-                if state.extend(x):
-                    closing.append(x)
-                else:
-                    state.retract()
-            for y in rng.sample(range(r), r):
-                if y in closing or cases == 12 or nodes == 2000:
-                    continue
-                nodes += 1
-                if closing:
-                    assert state.extend(closing[0])
-                assert not state.extend(y)
-                prefix.append(y)
-                p = len(prefix)
-                if closing:
-                    cases += 1
-                    if t > 1:
-                        row = state._m[t - 1]
-                        improved[t] += row[p] < row[p - 1]
-                    fresh = IncrementalState(spec)
-                    assert not any(fresh.extend(x) for x in prefix)
-                    flags = _continuation_flags(state, r, 3)
-                    assert flags == _continuation_flags(fresh, r, 3), prefix
-                    assert flags == _dp_flags(prefix, spec, 3), prefix
-                if p < 20:
-                    walk()
-                state.retract()
-                prefix.pop()
-
-        walk()
-        assert cases, spec.label()
-    assert all(improved.values()), improved
+            assert all(sorted(set(s)) == list(s) for s in w.sets)
+    return got is not None
 
 
 def _snapshot(state: IncrementalState) -> tuple:
@@ -775,99 +585,195 @@ def _snapshot(state: IncrementalState) -> tuple:
     )
 
 
-def test_incremental_closing_extend_leaves_state_unchanged() -> None:
-    """A closing extend returns True and writes nothing: the digits, the
-    positions, every row, first and k equal a snapshot taken before it.
-    A retract after an avoiding extend leaves the digits, positions, k,
-    first[:k + 1] and the row cells a later extend reads (stage s <= k + 1
-    from first[s - 1] to p) as a fresh replay has them. Every extend
-    answers as the suffix DP."""
+def _readable(state: IncrementalState) -> tuple:
+    """What a later extend may read: the digits, the positions, k,
+    first[:k + 1] and each stage s <= k + 1 from first[s - 1] to p."""
+    k, first, p = state._k, state._first_finite, state.length
+    rows = [state._m[s][first[s - 1] : p + 1] for s in range(1, k + 2)]
+    return state._digits, state._pos, k, first[: k + 1], rows
+
+
+class _Checked:
+    """One IncrementalState driven beside the prefix it must hold.
+
+    Every extend answers as the suffix DP on the prefix plus its color,
+    and as the brute oracle too with oracle=True. A closing extend leaves
+    every field as it was. After every retract, and after the first
+    avoiding extend that follows a retract or a close, the readable cells
+    equal those of a fresh replay: a retract leaves stale cells behind,
+    and the extend that goes on at p must overwrite every one a later
+    extend reads.
+    """
+
+    def __init__(self, spec: ProblemSpec, oracle: bool = False) -> None:
+        self.spec, self.oracle = spec, oracle
+        self.state = IncrementalState(spec)
+        self.prefix: list[int] = []
+        self.stale = False
+
+    def extend(self, x: int) -> bool:
+        c = Coloring(self.prefix + [x], self.spec.num_colors)
+        closes = exists_solution(c, self.spec) is not None
+        if self.oracle:
+            assert closes == (brute_force_exists(c, self.spec) is not None)
+        before = _snapshot(self.state) if closes else None
+        assert self.state.extend(x) == closes, (self.spec.label(), c)
+        if closes:
+            assert _snapshot(self.state) == before, (self.spec.label(), c)
+            self.stale = True
+            return True
+        self.prefix.append(x)
+        if self.stale:
+            self._match_fresh()
+        self.stale = False
+        return False
+
+    def retract(self) -> None:
+        self.state.retract()
+        self.prefix.pop()
+        self._match_fresh()
+        self.stale = True
+
+    def _match_fresh(self) -> None:
+        fresh = IncrementalState(self.spec)
+        assert not any(fresh.extend(x) for x in self.prefix)
+        assert _readable(self.state) == _readable(fresh), (
+            self.spec.label(), self.prefix
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ProblemSpec((2, 2), 2), ProblemSpec((2, 3), 2),
+     ProblemSpec((2, 2), 2, strict=True), ProblemSpec((2, 2, 2), 2),
+     ProblemSpec((2, 2), 3)],
+    ids=ProblemSpec.label,
+)
+def test_routes_agree_on_every_short_coloring(spec) -> None:
+    """Every 2-coloring with N <= 10, and every 3-coloring with N <= 7."""
+    r = spec.num_colors
+    for n in range(1, 11 if r == 2 else 8):
+        for digits in product(range(r), repeat=n):
+            _routes_agree(Coloring(digits, r), spec)
+
+
+def test_routes_agree_on_random_specs() -> None:
+    """Unequal sizes, t = 1..4, r = 2..5, strict and not."""
+    rng = random.Random(8086)
+    found = 0
+    for _ in range(3000):
+        spec, c = _random_case(rng, 14)
+        found += _routes_agree(c, spec)
+    assert 300 < found < 2700
+
+
+@pytest.mark.parametrize("m", [5, 12])
+def test_routes_agree_on_constructions(m: int) -> None:
+    """The construction of length f(m,m,m;2) - 1 avoids and both of its
+    one-position extensions close, position by position too; at m = 12
+    (length 97) the incremental rows double twice."""
+    spec = ProblemSpec((m, m, m), 2)
+    base = lower_bound_coloring(m)
+    walk = _Checked(spec)
+    assert not any(walk.extend(x) for x in base.digits)
+    assert walk.extend(0) and walk.extend(1)
+    assert not _routes_agree(base, spec)
+    assert all(_routes_agree(base.extended(x), spec) for x in (0, 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ProblemSpec((2, 2), 3), ProblemSpec((2, 2, 2), 2),
+     ProblemSpec((2, 2, 2, 2), 2)],
+    ids=ProblemSpec.label,
+)
+def test_incremental_walks_the_full_tree(spec) -> None:
+    """The whole avoiding tree by extend/retract, as the search walks it.
+    Later branches reach a position with fewer stages satisfied than
+    earlier ones did, so a stale row cell would show."""
+    walk = _Checked(spec)
+
+    def down() -> None:
+        for x in range(spec.num_colors):
+            if not walk.extend(x):
+                down()
+                walk.retract()
+
+    down()
+
+
+def test_incremental_closing_walks() -> None:
+    """Seeded walks, depth first to 24 positions and 100 avoiding nodes a
+    spec. At each prefix every color is tried; each avoiding color y then
+    goes on right after a shuffled run that extends each closing color up
+    to three times over. Every spec closes, and for t = 2..4 stage t-1
+    improves at p right after a close, where a cell the close left behind
+    would show."""
+    improved = dict.fromkeys(range(2, 5), 0)
+    runs = 0
     for t, r, strict in product(range(1, 5), (2, 3), (False, True)):
         spec = ProblemSpec((2,) * t, r, strict)
-        rng = random.Random(100 * t + 10 * r + strict)
-        state = IncrementalState(spec)
-        prefix: list[int] = []
-        closings = nodes = 0
+        rng = random.Random(1000 * t + 10 * r + strict)
+        walk = _Checked(spec)
+        nodes = closed = 0
 
-        def read(s: IncrementalState) -> tuple:
-            k, first, p = s._k, s._first_finite, s.length
-            rows = [s._m[j][first[j - 1] : p + 1] for j in range(1, k + 2)]
-            return s._digits, s._pos, k, first[: k + 1], rows
-
-        def walk() -> None:
-            nonlocal closings, nodes
-            fresh = IncrementalState(spec)
-            assert not any(fresh.extend(x) for x in prefix)
-            avoiding = []
-            for x in rng.sample(range(r), r):
-                before = _snapshot(state)
-                closes = state.extend(x)
-                dp = exists_solution(Coloring(prefix + [x], r), spec)
-                assert closes == (dp is not None), (prefix, x)
-                if closes:
-                    closings += 1
-                    assert _snapshot(state) == before, (prefix, x)
+        def down() -> None:
+            nonlocal nodes, closed, runs
+            closing = []
+            for x in range(r):
+                if walk.extend(x):
+                    closing.append(x)
                 else:
-                    avoiding.append(x)
-                    state.retract()
-                assert read(state) == read(fresh), (prefix, x)
-            for y in avoiding:
-                if nodes == 300 or len(prefix) == 24:
-                    return
+                    walk.retract()
+            closed += bool(closing)
+            for y in rng.sample(range(r), r):
+                if y in closing or nodes == 100 or walk.state.length == 24:
+                    continue
                 nodes += 1
-                assert not state.extend(y)
-                prefix.append(y)
-                walk()
-                state.retract()
-                prefix.pop()
+                run = [x for x in closing for _ in range(rng.randrange(1, 4))]
+                rng.shuffle(run)
+                assert all(walk.extend(x) for x in run)
+                runs += len(run) > 1
+                assert not walk.extend(y)
+                p = walk.state.length
+                if run and t > 1:
+                    row = walk.state._m[t - 1]
+                    improved[t] += row[p] < row[p - 1]
+                down()
+                walk.retract()
 
-        walk()
-        assert closings, spec.label()
-        # Stage t is never satisfiable inside the prefix, so no first[t].
-        assert len(state._first_finite) == t
-
-
-def test_incremental_closing_extends_in_a_row() -> None:
-    """Runs of closing extends, each closing color up to three times over,
-    change nothing: the avoiding extend after a run, and every extend of
-    the walk that goes on from it, answer as the suffix DP. When every
-    color closes, the run covers them all and the walk backs up."""
-    runs = 0
-    for t, r, strict in product(range(1, 4), (2, 3), (False, True)):
-        rng = random.Random(10 * t + r + 5 * strict)
-        spec = ProblemSpec(
-            tuple(rng.choice((2, 3)) for _ in range(t)), r, strict
-        )
-        state = IncrementalState(spec)
-        prefix: list[int] = []
-        for _ in range(150):
-            closing = [
-                x for x in range(r)
-                if exists_solution(Coloring(prefix + [x], r), spec)
-            ]
-            run = [x for x in closing for _ in range(rng.randrange(1, 4))]
-            rng.shuffle(run)
-            before = _snapshot(state)
-            assert all(state.extend(x) for x in run), (prefix, run)
-            assert _snapshot(state) == before
-            runs += len(run) > 1
-            open_ = [x for x in range(r) if x not in closing]
-            if not open_:
-                for _ in range(min(len(prefix), rng.randrange(1, 4))):
-                    state.retract()
-                    prefix.pop()
-                continue
-            y = rng.choice(open_)
-            assert not state.extend(y)
-            prefix.append(y)
-            assert state._digits == prefix
-            assert _continuation_flags(state, r, 2) == _dp_flags(
-                prefix, spec, 2
-            ), (spec.label(), prefix)
+        down()
+        assert closed, spec.label()
+    assert all(improved.values()), improved
     assert runs > 100, runs
 
 
-def test_incremental_flag_then_extend_errors() -> None:
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_incremental_op_walks(data) -> None:
+    """A spec (sizes 2..4, t = 1..4, r = 2..4, strict or not) and 10..60
+    operations, each a color to extend or None to retract, checked with
+    the brute oracle too. At DEFAULT_ORACLE_CAP positions a color
+    retracts instead."""
+    t = data.draw(st.integers(1, 4))
+    sizes = data.draw(st.lists(st.integers(2, 4), min_size=t, max_size=t))
+    r = data.draw(st.integers(2, 4))
+    spec = ProblemSpec(sizes, r, data.draw(st.booleans()))
+    op = st.one_of(st.none(), st.integers(0, r - 1))
+    walk = _Checked(spec, oracle=True)
+    for x in data.draw(st.lists(op, min_size=10, max_size=60)):
+        if x is None or len(walk.prefix) == DEFAULT_ORACLE_CAP:
+            if walk.prefix:
+                walk.retract()
+        else:
+            walk.extend(x)
+
+
+# ======================================================================
+# incremental state
+# ======================================================================
+
+def test_incremental_refusals_and_extend_after_close() -> None:
     """Out-of-range colors refuse to extend and change nothing. A closing
     extend changes nothing either, so any extend may follow it, and an
     empty state refuses to retract."""
@@ -914,67 +820,3 @@ def test_incremental_extend_takes_bools_as_colors() -> None:
     assert flags == [False, False, False, True]
     assert by_bool._digits == [True, True, False]
     assert by_bool._digits == by_int._digits
-
-
-def test_incremental_dfs_matches_exists() -> None:
-    """Walk the whole avoiding tree by extend/retract, as the search does,
-    and check each extend with the suffix DP. On these specs later branches
-    reach a position with fewer stages satisfied than earlier ones did, so
-    a stale row cell would show."""
-    for spec in (
-        ProblemSpec((2, 2), 3),
-        ProblemSpec((2, 2, 2), 2),
-        ProblemSpec((2, 2, 2, 2), 2),
-    ):
-        r = spec.num_colors
-        state = IncrementalState(spec)
-        digits: list[int] = []
-
-        def walk() -> None:
-            for x in range(r):
-                digits.append(x)
-                closes = state.extend(x)
-                c = Coloring(digits, r)
-                assert closes == (exists_solution(c, spec) is not None), c
-                if not closes:
-                    walk()
-                    state.retract()
-                digits.pop()
-
-        walk()
-
-
-@st.composite
-def _state_walks(draw):
-    """A spec (sizes 2..4, t = 1..4, r = 2..4, strict or not) and a list
-    of operations: a color to extend, or None to retract."""
-    t = draw(st.integers(1, 4))
-    sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=t, max_size=t)))
-    r = draw(st.integers(2, 4))
-    spec = ProblemSpec(sizes, r, draw(st.booleans()))
-    op = st.one_of(st.none(), st.integers(0, r - 1))
-    return spec, draw(st.lists(op, min_size=10, max_size=60))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(_state_walks())
-def test_incremental_differential_walks(walk) -> None:
-    """Every extend answers as the suffix DP and the brute oracle on the
-    prefix plus its color, and appends the color exactly when it avoids.
-    Retracts leave stale cells in the rows that no later extend may read."""
-    spec, ops = walk
-    state = IncrementalState(spec)
-    digits: list[int] = []
-    for x in ops:
-        if x is None or len(digits) == DEFAULT_ORACLE_CAP:
-            if digits:
-                state.retract()
-                digits.pop()
-        else:
-            c = Coloring(digits + [x], spec.num_colors)
-            found = exists_solution(c, spec) is not None
-            brute = brute_force_exists(c, spec) is not None
-            assert state.extend(x) == found == brute
-            if not found:
-                digits.append(x)
-        assert state._digits == digits

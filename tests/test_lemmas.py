@@ -384,6 +384,14 @@ def test_walk_deals_every_coloring_once(m: int) -> None:
         assert set(dealt.values()) == {1}, parts
 
 
+def test_a_deal_has_no_empty_part() -> None:
+    """More parts than prefixes deal one prefix a part, so no child starts
+    with nothing to walk: 16 binary prefixes over 32 parts, 128 over 129."""
+    for m, parts, n in ((2, 32, 16), (3, 129, 128)):
+        dealt = search_mod._deal(lemmas_mod._prefixes(m, parts), parts)
+        assert len(dealt) == n and all(len(part) == 1 for part in dealt)
+
+
 def test_sweep_builds_no_result_objects(monkeypatch) -> None:
     """The sweep tallies from the private tuples: with Lemma21Case and
     Lemma22Finding made to raise, it still returns the pinned histogram,

@@ -361,7 +361,7 @@ def _recording_process(opened: list, process=multiprocessing.Process):
     return start
 
 
-def test_pool_is_clamped_to_the_cpus(monkeypatch) -> None:
+def test_children_are_clamped_to_the_cpus(monkeypatch) -> None:
     """Eight workers on 2 or 3 usable CPUs start one process fewer than
     the CPUs, and none is alive after the call."""
     for cpus in (2, 3):
