@@ -6,8 +6,11 @@ them as values. Construction also indexes the coloring: the ascending
 positions of each color, and the rank of every position among them.
 Coloring(digits, r) indexes one position at a time, which suits short
 runs. Colorings that come as runs (parse_run_string and the lower-bound
-constructions) are indexed a run at a time, and Coloring.extended copies
-its parent's index and adds the one new position.
+constructions) are indexed a run at a time and keep the starts of their
+maximal runs, which the checker's run sweep reads. Coloring.extended
+copies its parent's index and adds the one new position; it passes the
+run starts on, with the new position joining the last run or starting
+one, and a coloring built from digits has none to pass.
 
 The compact string notation writes a coloring as a sequence of runs, e.g.
 "0^210^3" for 001000: a digit names the color, an optional ^k repeats it.
@@ -42,7 +45,7 @@ class Coloring:
     the functions being computed.
     """
 
-    __slots__ = ("_digits", "_num_colors", "_positions", "_rank")
+    __slots__ = ("_digits", "_num_colors", "_positions", "_rank", "_runs")
 
     def __init__(self, digits: Iterable[int], num_colors: int) -> None:
         seq = tuple(digits)
@@ -58,14 +61,18 @@ class Coloring:
         self._num_colors = num_colors
         self._positions = tuple(map(tuple, table))
         self._rank = rank
+        # _runs: the start of each maximal run, or None (built from digits).
+        self._runs = None
 
     @classmethod
     def _from_runs(
         cls, runs: Iterable[tuple[int, int]], num_colors: int
     ) -> "Coloring":
-        """The coloring of (color, length) runs, indexed a run at a time.
+        """The coloring of (color, length) runs, indexed a run at a time,
+        with the starts of its maximal runs.
 
-        Lengths may be 0; such runs are skipped. Raises the ValueError
+        Lengths may be 0; such runs are skipped, and adjacent runs of one
+        color make one maximal run. Raises the ValueError
         Coloring(digits, num_colors) raises for the same digits, and a
         ValueError naming a total length above sys.maxsize, which no
         tuple can hold.
@@ -80,26 +87,31 @@ class Coloring:
         table: list[list[int]] = [[] for _ in range(num_colors)]
         rank = [0]
         digits: list[int] = []
+        starts: list[int] = []
         p = 1
         for color, k in runs:
             row = _row(table, color, p)
+            if not digits or digits[-1] != color:
+                starts.append(p)
             have = len(row)
             row += range(p, p + k)
             rank += range(have, have + k)
             digits += (color,) * k
             p += k
         return cls._indexed(
-            tuple(digits), num_colors, tuple(map(tuple, table)), rank
+            tuple(digits), num_colors, tuple(map(tuple, table)), rank,
+            tuple(starts),
         )
 
     @classmethod
-    def _indexed(cls, digits, num_colors, positions, rank) -> "Coloring":
+    def _indexed(cls, digits, num_colors, positions, rank, runs) -> "Coloring":
         """A Coloring over an index that is already built."""
         self = object.__new__(cls)
         self._digits = digits
         self._num_colors = num_colors
         self._positions = positions
         self._rank = rank
+        self._runs = runs
         return self
 
     # ------------------------------------------------------------------
@@ -137,15 +149,20 @@ class Coloring:
     def extended(self, color: int) -> "Coloring":
         """A new coloring with `color` appended at position N+1.
 
-        The index is this one's with the new position added to its color.
+        The index is this one's with the new position added to its color,
+        and a coloring with run starts gets them too, one more when color
+        starts a run.
         """
         p = len(self._digits) + 1
         table = list(self._positions)
         row = _row(table, color, p)
         table[color] = row + (p,)
+        runs = self._runs
+        if runs is not None and color != self._digits[-1]:
+            runs += (p,)
         return Coloring._indexed(
             self._digits + (color,), self._num_colors, tuple(table),
-            self._rank + [len(row)],
+            self._rank + [len(row)], runs,
         )
 
     # ------------------------------------------------------------------

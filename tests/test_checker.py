@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 import re
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +25,12 @@ from diam_ramsey import (
     parse_run_string,
     validate_witness,
 )
+from diam_ramsey import checker
 from diam_ramsey.checker import (
     DEFAULT_ORACLE_CAP,
     _least_set,
-    _suffix_table,
+    _position_table,
+    _run_table,
 )
 
 # The reference table's "no chain" cell: the checker's rows end before
@@ -65,6 +67,20 @@ def _chains(c: Coloring, spec: ProblemSpec, first: int = 0):
                     yield from extend(stage + 1, j, j - i, acc + ((i, j, k),))
 
     yield from extend(first, 0, -1, ())
+
+
+def _run_built(c: Coloring) -> Coloring:
+    """c rebuilt from its maximal runs, so that it carries them."""
+    return Coloring._from_runs(
+        [(k, len(list(run))) for k, run in groupby(c.digits)], c.num_colors
+    )
+
+
+def _tables(c: Coloring, spec: ProblemSpec):
+    """The suffix table from each sweep, called directly so that the run
+    length does not choose: the position sweep on c, the run sweep on c
+    rebuilt from its runs."""
+    return _position_table(c, spec), _run_table(_run_built(c), spec)
 
 
 def _random_case(rng: random.Random, n_max: int):
@@ -242,14 +258,15 @@ def test_suffix_table_matches_definition() -> None:
     for s >= 2, and row s ends where that first fails. The table builds no
     row 1; exists_solution answers what S[1][1] would, so it is checked
     against the reference row 1 instead. S[t+1] is None: the last stage
-    has no room to leave."""
+    has no room to leave. Both sweeps build the table."""
     rng = random.Random(5150)
     finite = 0
     for _ in range(2000):
         spec, c = _random_case(rng, 12)
         n = c.length
-        S = _suffix_table(c, spec)
-        assert S[1] == [] and S[spec.t + 1] is None
+        tables = _tables(c, spec)
+        for S in tables:
+            assert S[1] == [] and S[spec.t + 1] is None
         for s in range(1, spec.t + 1):
             ref = [_NEG] * (n + 2)
             for ch in _chains(c, spec, first=s - 1):
@@ -260,9 +277,41 @@ def test_suffix_table_matches_definition() -> None:
                 avoids = exists_solution(c, spec) is None
                 assert avoids == (ref[1] == _NEG), (c, spec.label())
             else:
-                _assert_row(S[s], ref, (c, spec.label(), s))
+                for S in tables:
+                    _assert_row(S[s], ref, (c, spec.label(), s))
             finite += sum(1 for x in ref if x != _NEG)
     assert finite > 5000
+
+
+def test_suffix_table_takes_the_run_sweep_on_long_runs(monkeypatch) -> None:
+    """Only a coloring that carries runs at least _RUN_SWEEP_MIN_MEAN long
+    on average takes the run sweep: the constructions and their
+    extensions, not the same digits built a position at a time, and not
+    runs of mean length just below the constant."""
+    taken = []
+    monkeypatch.setattr(
+        checker, "_position_table", lambda c, spec: taken.append("position")
+    )
+    monkeypatch.setattr(
+        checker, "_run_table", lambda c, spec: taken.append("run")
+    )
+    spec = ProblemSpec((3, 3), 2)
+    base = lower_bound_coloring(50)
+    mean = checker._RUN_SWEEP_MIN_MEAN
+    # Equal colorings hash alike, so the cases are pairs, not a dict.
+    cases = [
+        (base, "run"),
+        (base.extended(0), "run"),
+        (base.extended(1).extended(0), "run"),
+        (Coloring(base.digits, 2), "position"),
+        (Coloring(base.digits, 2).extended(1), "position"),
+        (Coloring._from_runs([(0, mean), (1, mean)], 2), "run"),
+        (Coloring._from_runs([(0, mean), (1, mean - 1)], 2), "position"),
+    ]
+    for c, sweep in cases:
+        taken.clear()
+        checker._suffix_table(c, spec)
+        assert taken == [sweep], c
 
 
 def _suffix_rows(c: Coloring, spec: ProblemSpec) -> list[list[int]]:
@@ -308,7 +357,7 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
     reference row cut at its first _NEG cell; the witness
     walk reads each S[s+1], S[t+1] is None, t = 1 builds no sweep, and
     exists_solution finds no chain exactly when the reference S[1][1] is
-    _NEG."""
+    _NEG. Both sweeps build the table."""
     specs = [
         ProblemSpec(sizes, r, strict)
         for sizes in ((2,), (2, 2), (2, 3, 2), (3, 2))
@@ -320,10 +369,10 @@ def test_suffix_table_rows_match_definition(r: int) -> None:
             c = Coloring(digits, r)
             for spec in specs:
                 ref = _suffix_rows(c, spec)
-                S = _suffix_table(c, spec)
-                for s in range(2, spec.t + 1):
-                    _assert_row(S[s], ref[s], (digits, spec, s))
-                assert S[-1] is None and len(S) == len(ref)
+                for S in _tables(c, spec):
+                    for s in range(2, spec.t + 1):
+                        _assert_row(S[s], ref[s], (digits, spec, s))
+                    assert S[-1] is None and len(S) == len(ref)
                 avoids = exists_solution(c, spec) is None
                 assert avoids == (ref[1][1] == _NEG), (digits, spec)
                 finite += ref[1][1] != _NEG
@@ -334,8 +383,10 @@ def _long_cases():
     """Long colorings with few runs, whose reference rows end in long _NEG
     tails that the checker's rows leave out:
     the constructions for m = 2..16 (both families), both one-position
-    extensions, seeded flips of 1-3 positions, each strict and not, and
-    3-colorings built from runs."""
+    extensions, seeded flips of 1-3 positions, each strict and not; the
+    constructions and their extensions against (m,m,m,m), where the next
+    row of a middle stage is itself a staircase; and 3-colorings built from
+    runs."""
     rng = random.Random(1407)
     for m in range(2, 17):
         for general in (False, True):
@@ -349,6 +400,9 @@ def _long_cases():
             for c in (base, base.extended(0), base.extended(1), *flips):
                 for strict in (False, True):
                     yield c, ProblemSpec((m, m, m), 2, strict)
+            for c in (base, base.extended(0), base.extended(1)):
+                for strict in (False, True):
+                    yield c, ProblemSpec((m, m, m, m), 2, strict)
     for sizes in ((3, 4, 2), (5, 2, 3, 2), (2, 6)):
         for _ in range(4):
             runs = [(rng.randrange(3), rng.randint(1, 9)) for _ in range(14)]
@@ -364,20 +418,20 @@ def test_suffix_table_rows_match_definition_on_long_colorings() -> None:
     pointer start or a row end one off shows here.
     Stage 1 is checked through exists_solution against the reference
     S[1][1], S[t+1] is None, and dead cells are counted on the reference
-    rows 1..t."""
+    rows 1..t. Both sweeps build the table."""
     cases = dead = cells = 0
     for c, spec in _long_cases():
         ref = _suffix_rows(c, spec)
-        S = _suffix_table(c, spec)
-        for s in range(2, spec.t + 1):
-            _assert_row(S[s], ref[s], (c, spec, s))
-        assert S[-1] is None and len(S) == len(ref)
+        for S in _tables(c, spec):
+            for s in range(2, spec.t + 1):
+                _assert_row(S[s], ref[s], (c, spec, s))
+            assert S[-1] is None and len(S) == len(ref)
         assert (exists_solution(c, spec) is None) == (ref[1][1] == _NEG)
         for s in range(1, spec.t + 1):
             dead += ref[s][1 : c.length + 1].count(_NEG)
         cells += spec.t * c.length
         cases += 1
-    assert cases == 384
+    assert cases == 564
     assert dead > cells // 4
 
 
@@ -403,9 +457,35 @@ def test_construction_extension_witnesses_are_pinned(m, x, triples) -> None:
     """The canonical witness of each one-position extension of the m = 200
     and 500 constructions, as (min, max, color) per set; its members are
     the least ones, so the triples fix every set."""
+    _assert_extension_witness(m, x, False, triples)
+
+
+@pytest.mark.parametrize(
+    "m, x, triples",
+    [
+        (200, 0, None),
+        (200, 1, [(1, 399, 0), (467, 997, 1), (1196, 1727, 1)]),
+        (500, 0, None),
+        (500, 1, [(1, 999, 0), (1167, 2497, 1), (2996, 4327, 1)]),
+    ],
+)
+def test_strict_construction_extension_witnesses_are_pinned(
+    m, x, triples
+) -> None:
+    """The same extensions against strictly increasing diameters: the
+    extension by 0 still avoids."""
+    _assert_extension_witness(m, x, True, triples)
+
+
+def _assert_extension_witness(m, x, strict, triples) -> None:
+    """exists_solution on lower_bound_coloring(m).extended(x) gives the
+    (min, max, color) triples, or None, and the least members."""
     c = lower_bound_coloring(m).extended(x)
-    spec = ProblemSpec((m, m, m), 2)
+    spec = ProblemSpec((m, m, m), 2, strict)
     w = exists_solution(c, spec)
+    if triples is None:
+        assert w is None
+        return
     assert [(s.min, s.max, k) for s, k in zip(w.sets, w.colors)] == triples
     for s, (i, _j, k) in zip(w.sets, triples):
         L = c.positions_of(k)
@@ -561,8 +641,10 @@ def test_brute_oracle_cap() -> None:
 def _routes_agree(c: Coloring, spec: ProblemSpec) -> bool:
     """Whether c holds a solution, on which the suffix DP, the brute oracle
     (up to DEFAULT_ORACLE_CAP) and an incremental replay agree. Both
-    witnesses validate, and their sets are sorted and distinct."""
+    witnesses validate, and their sets are sorted and distinct. c rebuilt
+    from its runs, which may take the run sweep, gives the same witness."""
     got = exists_solution(c, spec)
+    assert exists_solution(_run_built(c), spec) == got, (c, spec.label())
     ref = got if c.length > DEFAULT_ORACLE_CAP else brute_force_exists(c, spec)
     state = IncrementalState(spec)
     replay = any(state.extend(x) for x in c.digits)

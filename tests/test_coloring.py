@@ -147,15 +147,39 @@ def _expand(runs) -> list:
 
 
 def _assert_same_index(c: Coloring, ref: Coloring) -> None:
-    """c equals ref in digits, palette, index, == and hash."""
+    """c equals ref in digits, palette, index, == and hash, and in its run
+    starts when both carry them."""
     assert c.digits == ref.digits
     assert c.num_colors == ref.num_colors
     for k in range(ref.num_colors):
         assert c.positions_of(k) == ref.positions_of(k)
         assert type(c.positions_of(k)) is tuple
     assert c._rank == ref._rank
+    if c._runs is not None and ref._runs is not None:
+        assert c._runs == ref._runs
     assert c == ref
     assert hash(c) == hash(ref)
+
+
+def _maximal_run_starts(digits) -> tuple[int, ...]:
+    """The positions where a maximal run of digits starts, read off the
+    digits one by one."""
+    return tuple(
+        p for p in range(1, len(digits) + 1)
+        if p == 1 or digits[p - 1] != digits[p - 2]
+    )
+
+
+def _assert_carries_maximal_runs(c: Coloring) -> None:
+    """c's run starts are a tuple of maximal runs that expand back to its
+    digits: each run takes its start's color up to the next start."""
+    starts = c._runs
+    assert type(starts) is tuple
+    assert starts == _maximal_run_starts(c.digits)
+    ends = starts[1:] + (c.length + 1,)
+    assert [
+        c.color_at(a) for a, b in zip(starts, ends) for _ in range(a, b)
+    ] == list(c.digits)
 
 
 def test_runs_build_matches_digits_build_on_constructions() -> None:
@@ -190,6 +214,65 @@ def test_runs_build_matches_digits_build_on_random_runs() -> None:
     _assert_same_index(
         Coloring._from_runs([(5, 0), (1, 2)], 2), Coloring([1, 1], 2)
     )
+
+
+def test_runs_build_carries_its_maximal_runs() -> None:
+    """A zero-length run, or adjacent runs of one color, make no run
+    start of their own."""
+    general_m2 = Coloring._from_runs(lower_bound_runs(2, True), 2)
+    assert (0, 0) in lower_bound_runs(2, True)
+    assert general_m2._runs == (1, 2, 3, 4, 6, 7, 10)
+    assert parse_run_string("0^20^3", 2)._runs == (1,)
+    assert Coloring._from_runs([(1, 0), (1, 2), (0, 0), (1, 1)], 2)._runs == (
+        1,
+    )
+    cases = [general_m2, parse_run_string("0^20^3", 2)]
+    for m in range(2, 41):
+        cases.append(lower_bound_coloring(m))
+        cases.append(lower_bound_coloring(m, force_general=True))
+    rng = random.Random(1618)
+    for _ in range(300):
+        r = rng.randint(2, 10)
+        runs = [
+            (rng.randrange(r), rng.randrange(4))
+            for _ in range(rng.randint(1, 12))
+        ] + [(rng.randrange(r), 1)]
+        cases.append(Coloring._from_runs(runs, r))
+        text = " ".join(f"{color}^{{{k}}}" for color, k in runs if k)
+        cases.append(parse_run_string(text, r))
+    for c in cases:
+        _assert_carries_maximal_runs(c)
+
+
+def test_extended_passes_the_runs_on() -> None:
+    """A chain of extends carries the runs _from_runs gives for the longer
+    digits: the new position joins the last run or starts one."""
+    rng = random.Random(2236)
+    for _ in range(200):
+        r = rng.randint(2, 5)
+        runs = [(rng.randrange(r), rng.randint(1, 4)) for _ in range(3)]
+        c = Coloring._from_runs(runs, r)
+        digits = list(c.digits)
+        for _ in range(rng.randint(1, 12)):
+            x = digits[-1] if rng.random() < 0.5 else rng.randrange(r)
+            c = c.extended(x)
+            digits.append(x)
+            ref = Coloring._from_runs([(d, 1) for d in digits], r)
+            _assert_same_index(c, ref)
+            _assert_carries_maximal_runs(c)
+    base = lower_bound_coloring(50)
+    for x in (0, 1):
+        _assert_same_index(
+            base.extended(x),
+            Coloring._from_runs(lower_bound_runs(50) + ((x, 1),), 2),
+        )
+
+
+def test_digits_build_carries_no_runs() -> None:
+    c = Coloring([0, 0, 1, 1, 1, 0], 2)
+    assert c._runs is None
+    assert c.extended(0)._runs is None
+    assert c.extended(1).extended(1)._runs is None
 
 
 def test_extended_copies_the_index() -> None:
